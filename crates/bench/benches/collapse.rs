@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use mrl_framework::{
-    collapse_targets, merge_sorted_runs, merge_sorted_runs_with, select_weighted, sort_fixed,
-    AdaptiveLowestLevel, AlsabtiRankaSingh, CollapsePolicy, Engine, EngineConfig, FixedRate,
-    MergeScratch, MunroPaterson, RadixScratch, WeightedSource,
+    collapse_targets, select_weighted, sort_fixed, AdaptiveLowestLevel, AlsabtiRankaSingh,
+    CollapsePolicy, Engine, EngineConfig, FixedRate, MunroPaterson, RadixScratch, WeightedSource,
 };
 
 fn bench_weighted_select(c: &mut Criterion) {
@@ -159,36 +158,22 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seal-time cost: bottom-up run merge (`O(k log r)`) against the old
-/// sort-on-seal (`O(k log k)`) for a buffer arriving as `r` sorted runs,
-/// and the sharded pipeline against single-threaded ingestion on the same
-/// 1M-element stream.
+/// Seal-time cost: one `sort_unstable` over a buffer arriving as `r`
+/// sorted runs, and the sharded pipeline against single-threaded
+/// ingestion on the same 1M-element stream.
 fn bench_seal_and_collapse(c: &mut Criterion) {
     let k = 4096usize;
     let mut group = c.benchmark_group("seal_and_collapse");
     for &r in &[1usize, 4, 16, 64] {
         // k elements arranged as r equal-length sorted runs.
         let mut data: Vec<u64> = Vec::with_capacity(k);
-        let mut starts: Vec<usize> = Vec::with_capacity(r);
         for run in 0..r {
-            starts.push(data.len());
             let mut seg: Vec<u64> = (0..k / r)
                 .map(|j| ((j * r + run) as u64).wrapping_mul(2654435761) % (1 << 40))
                 .collect();
             seg.sort_unstable();
             data.extend(seg);
         }
-        group.bench_with_input(BenchmarkId::new("run_merge_seal", r), &r, |b, _| {
-            let mut scratch = Vec::new();
-            b.iter_batched(
-                || data.clone(),
-                |mut d| {
-                    merge_sorted_runs(&mut d, &starts, &mut scratch);
-                    d
-                },
-                BatchSize::SmallInput,
-            )
-        });
         group.bench_with_input(BenchmarkId::new("sort_seal", r), &r, |b, _| {
             b.iter_batched(
                 || data.clone(),
@@ -226,61 +211,6 @@ fn bench_seal_and_collapse(c: &mut Criterion) {
                 sketch.finish().expect("no worker panics").query(0.5)
             })
         });
-    }
-    group.finish();
-}
-
-/// The seal-time crossover behind `run_merge_limit(k)`: at how many runs
-/// does the bottom-up `O(k log r)` run merge stop beating one
-/// cache-friendly `sort_unstable` over the whole buffer? Each case sorts
-/// the same k-element buffer arranged as `r` sorted runs, via both
-/// routes; `run_merge_limit` should sit where the curves cross.
-fn bench_seal_crossover(c: &mut Criterion) {
-    let mut group = c.benchmark_group("seal_crossover");
-    for &k in &[256usize, 1024] {
-        for &r in &[2usize, 4, 8, 16, 32, 64] {
-            if r > k / 4 {
-                continue;
-            }
-            // r sorted runs of k/r pseudo-random elements each,
-            // concatenated — the shape a run-tracked filler hands to the
-            // seal.
-            let run_len = k / r;
-            let mut data: Vec<u64> = Vec::with_capacity(k);
-            let mut starts = Vec::with_capacity(r);
-            for run in 0..r {
-                starts.push(run * run_len);
-                let mut chunk: Vec<u64> = (0..run_len as u64)
-                    .map(|j| (j * 2654435761 + run as u64 * 97) % 1_000_003)
-                    .collect();
-                chunk.sort_unstable();
-                data.extend(chunk);
-            }
-            let label = format!("k{k}_r{r}");
-            group.bench_with_input(BenchmarkId::new("run_merge", &label), &r, |b, _| {
-                // Warm scratch across iterations, as the engine's arena
-                // provides in steady state.
-                let mut scratch = MergeScratch::default();
-                b.iter_batched(
-                    || data.clone(),
-                    |mut d| {
-                        merge_sorted_runs_with(&mut d, &starts, &mut scratch);
-                        d
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-            group.bench_with_input(BenchmarkId::new("sort", &label), &r, |b, _| {
-                b.iter_batched(
-                    || data.clone(),
-                    |mut d| {
-                        d.sort_unstable();
-                        d
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-        }
     }
     group.finish();
 }
@@ -333,7 +263,6 @@ criterion_group!(
     bench_skip_vs_heap,
     bench_policies,
     bench_seal_and_collapse,
-    bench_seal_crossover,
     bench_radix_crossover
 );
 criterion_main!(benches);

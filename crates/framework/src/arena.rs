@@ -21,7 +21,6 @@ use crate::buffer::BufferMeta;
 use crate::merge::SelectScratch;
 use crate::policy::CollapseDecision;
 use crate::radix::RadixScratch;
-use crate::runs::MergeScratch;
 use crate::spine::QuerySpine;
 
 /// Scratch storage reused by the engine's seal and collapse paths.
@@ -31,9 +30,6 @@ use crate::spine::QuerySpine;
 /// where a buffer must outlive a second `&mut self` borrow).
 #[derive(Clone, Debug)]
 pub struct ScratchArena<T> {
-    /// Seal-time run merge: ping-pong buffer plus run-bounds scratch
-    /// (`RunTracker::sort_data_with`).
-    pub(crate) merge: MergeScratch<T>,
     /// Raw-collapse concatenation: the deferred-seal inputs are gathered
     /// here and sorted in one pass.
     pub(crate) concat: Vec<T>,
@@ -45,8 +41,6 @@ pub struct ScratchArena<T> {
     /// `(element, weight)` pair buffers of the multi-source merge path and
     /// their run bounds.
     pub(crate) select: SelectScratch<T>,
-    /// Collapse target positions (`collapse_targets_into`).
-    pub(crate) targets: Vec<u64>,
     /// Full-buffer metadata snapshot handed to the collapse policy.
     pub(crate) meta: Vec<BufferMeta>,
     /// Occupancy-by-level counts for the metrics gauges.
@@ -75,11 +69,9 @@ pub struct ScratchArena<T> {
 impl<T> Default for ScratchArena<T> {
     fn default() -> Self {
         Self {
-            merge: MergeScratch::default(),
             concat: Vec::new(),
             select_out: Vec::new(),
             select: SelectScratch::default(),
-            targets: Vec::new(),
             meta: Vec::new(),
             occupancy: Vec::new(),
             slots: Vec::new(),

@@ -61,7 +61,7 @@ impl<T: Ord> Buffer<T> {
     }
 
     /// As [`Buffer::populate`] for input the caller guarantees is already
-    /// sorted (collapse output, run-merged seals, shipped buffers). Skips
+    /// sorted (collapse output, presorted seals, shipped buffers). Skips
     /// even the `O(k)` sortedness check in release builds.
     ///
     /// # Panics

@@ -18,16 +18,14 @@ use mrl_sampling::{rng_from_seed, BlockSampler, SketchRng};
 use crate::arena::ScratchArena;
 use crate::buffer::{Buffer, BufferState};
 use crate::kernels::{
-    chunked_kernels_enabled, select_merged_weighted_spaced, select_three_weighted_spaced,
-    select_two_weighted_spaced,
+    select_merged_weighted_spaced, select_three_weighted_spaced, select_two_weighted_spaced,
 };
 use crate::merge::{
-    collapse_first_target, collapse_targets_into, output_position, select_weighted,
-    select_weighted_with, total_mass, WeightedSource,
+    collapse_first_target, merge_sorted_runs_with, output_position, select_weighted, total_mass,
+    WeightedSource,
 };
 use crate::policy::CollapsePolicy;
 use crate::radix::try_sort_fixed;
-use crate::runs::{merge_sorted_runs_with, run_merge_limit, RunTracker};
 use crate::schedule::RateSchedule;
 use crate::spine::QuerySpine;
 use crate::stats::TreeStats;
@@ -42,8 +40,6 @@ pub mod metrics {
 
     /// Counter: seals adopted as-is because the fill arrived sorted.
     pub const SEAL_PRESORTED: Key = Key::new("engine.seal.presorted");
-    /// Counter: seals that bottom-up merged the tracked runs.
-    pub const SEAL_RUN_MERGE: Key = Key::new("engine.seal.run_merge");
     /// Counter: seals parked raw (sort deferred to collapse/query time).
     pub const SEAL_PARKED_RAW: Key = Key::new("engine.seal.parked_raw");
     /// Histogram: nanoseconds per seal (`take_filler`).
@@ -122,13 +118,8 @@ pub struct Engine<T, P, R> {
     rate_schedule: R,
     sampler: BlockSampler<T>,
     filler: Vec<T>,
-    /// Sorted-run boundaries of `filler`, tracked per push (one comparison
-    /// per element) so sealing merges the runs in `O(k log r)` instead of
-    /// sorting from scratch, and queries on an already-sorted fill skip
-    /// the snapshot-and-sort entirely.
-    filler_runs: RunTracker,
     /// Slots holding raw (deliberately unsorted) fill data. When a fill
-    /// saturates the run tracker, sealing *defers* the sort: if the slot is
+    /// arrives out of order, sealing *defers* the sort: if the slot is
     /// later collapsed together with other raw equal-weight slots, one sort
     /// of the concatenation replaces the per-buffer sorts plus the merge
     /// walk. Read paths (`query_many`, snapshots, `into_buffers`) sort on
@@ -221,7 +212,6 @@ where
             rate_schedule,
             sampler: BlockSampler::new(rate),
             filler: Vec::with_capacity(config.buffer_size),
-            filler_runs: RunTracker::new(run_merge_limit(config.buffer_size)),
             unsorted_mask: Vec::new(),
             fill_rate: rate,
             fill_level: 0,
@@ -411,8 +401,7 @@ where
     /// # Panics
     /// Panics if called after [`Engine::finish`].
     // alloc: filler.push lands in capacity reserved by the recycled slot
-    // storage (complete_fill) and note_boundary's run starts are bounded by
-    // the saturation cap; the sample tap is opt-in test support.
+    // storage (complete_fill); the sample tap is opt-in test support.
     pub fn insert(&mut self, item: T) {
         assert!(!self.finished, "cannot insert after finish()");
         self.bump_epoch();
@@ -423,9 +412,6 @@ where
             self.stats.record_block(self.fill_rate);
             if let Some(tap) = &mut self.sample_tap {
                 tap.push((repr.clone(), self.fill_rate));
-            }
-            if self.filler.last().is_some_and(|last| *last > repr) {
-                self.filler_runs.note_boundary(self.filler.len());
             }
             self.filler.push(repr);
             if self.filler.len() == self.config.buffer_size {
@@ -480,22 +466,16 @@ where
                         tap.push((v.clone(), 1));
                     }
                 }
-                let base = self.filler.len();
                 self.filler.extend_from_slice(chunk);
-                self.filler_runs.observe_extend(&self.filler, base);
                 self.stats.record_blocks(1, chunk.len() as u64);
             } else {
                 let emitted = {
                     let filler = &mut self.filler;
-                    let filler_runs = &mut self.filler_runs;
                     let fill_rate = self.fill_rate;
                     let mut tap = self.sample_tap.as_mut();
                     self.sampler.offer_slice(chunk, &mut self.rng, &mut |repr| {
                         if let Some(tap) = tap.as_mut() {
                             tap.push((repr.clone(), fill_rate));
-                        }
-                        if filler.last().is_some_and(|last| *last > repr) {
-                            filler_runs.note_boundary(filler.len());
                         }
                         filler.push(repr);
                     })
@@ -556,9 +536,6 @@ where
                 self.stats.record_block(pending);
                 if let Some(tap) = &mut self.sample_tap {
                     tap.push((tail.clone(), self.fill_rate));
-                }
-                if self.filler.last().is_some_and(|last| *last > tail) {
-                    self.filler_runs.note_boundary(self.filler.len());
                 }
                 self.filler.push(tail);
             }
@@ -631,14 +608,12 @@ where
         }
         // Only clone-and-sort the in-progress fill when it is actually out
         // of order; an ascending stream (or a freshly started fill) reads
-        // straight from `filler`, and a mildly disordered one merges its
-        // tracked runs instead of sorting from scratch.
-        let sorted_holder: Option<Vec<T>> = if self.filler_runs.is_single_run() {
+        // straight from `filler`.
+        let sorted_holder: Option<Vec<T>> = if self.filler.is_sorted() {
             None
         } else {
             let mut v = self.filler.clone();
-            let mut scratch = Vec::new();
-            self.filler_runs.sort_data(&mut v, &mut scratch);
+            v.sort_unstable();
             Some(v)
         };
         let filler_view: &[T] = sorted_holder.as_deref().unwrap_or(&self.filler);
@@ -861,7 +836,6 @@ where
         // Snapshots always carry sorted buffer data (the writer sorts raw
         // slots' copies), so no deferred-seal marks survive a restore.
         self.unsorted_mask.fill(false);
-        self.filler_runs.rebuild(&filler);
         self.filler = filler;
         self.fill_rate = fill_rate;
         self.fill_level = fill_level;
@@ -1044,35 +1018,23 @@ where
         self.filling = true;
     }
 
-    /// Take the completed fill out of the engine: a single-run fill is
-    /// adopted as-is, few runs are k-way merged (`O(k log r)`), and a
-    /// saturated tracker returns the data **unsorted** (`false` flag) so
+    /// Take the completed fill out of the engine: a sorted fill is adopted
+    /// as-is, and any other fill is returned **unsorted** (`false` flag) so
     /// the sort can be deferred to collapse time, where raw siblings are
     /// sorted together in one pass.
     fn take_filler(&mut self) -> (Vec<T>, bool) {
         let timer = self.metrics.timer(metrics::SEAL_NS);
         let seal_begin = self.journal.now_ns();
-        // Run count before saturation truncates it (saturated fills report
-        // the tracker's limit + 1, the point at which counting stopped).
-        let runs = self.filler_runs.starts().len() as u64;
-        let mut data = std::mem::take(&mut self.filler);
-        let (sorted, kernel) = if self.filler_runs.is_saturated() {
-            self.metrics.counter_add(metrics::SEAL_PARKED_RAW, 1);
-            (false, SealKernel::ParkedRaw)
+        let data = std::mem::take(&mut self.filler);
+        let sorted = data.is_sorted();
+        // The event's run count only distinguishes one run from "at least
+        // two": nothing counts the descents of a parked fill.
+        let (seal_key, kernel, runs) = if sorted {
+            (metrics::SEAL_PRESORTED, SealKernel::Presorted, 1)
         } else {
-            let (seal_key, kernel) = if self.filler_runs.is_single_run() {
-                (metrics::SEAL_PRESORTED, SealKernel::Presorted)
-            } else {
-                (metrics::SEAL_RUN_MERGE, SealKernel::RunMerge)
-            };
-            self.filler_runs.sort_data_with_radix(
-                &mut data,
-                &mut self.scratch.merge,
-                &mut self.scratch.radix,
-            );
-            self.metrics.counter_add(seal_key, 1);
-            (true, kernel)
+            (metrics::SEAL_PARKED_RAW, SealKernel::ParkedRaw, 2)
         };
+        self.metrics.counter_add(seal_key, 1);
         timer.stop();
         if let Some(begin) = seal_begin {
             let end = self.journal.now_ns().unwrap_or(begin);
@@ -1087,7 +1049,6 @@ where
                 },
             );
         }
-        self.filler_runs.reset();
         (data, sorted)
     }
 
@@ -1198,9 +1159,9 @@ where
     // raw fast path's strided gather stays in bounds because its last index
     // (first - 1)/w0 + (k - 1)·c < c·k = |concat| (and iterator adapters
     // cannot overrun regardless).
-    // alloc: recorder bookkeeping and the scalar-reference mode's source
-    // list run once per collapse (every k·2^level elements), amortised O(1)
-    // per element; everything else works inside the scratch arena.
+    // alloc: recorder bookkeeping runs once per collapse (every k·2^level
+    // elements), amortised O(1) per element; everything else works inside
+    // the scratch arena.
     fn perform_collapse(&mut self, slots: &[usize], output_level: u32) {
         let collapse_timer = self.metrics.timer(metrics::COLLAPSE_NS);
         let collapse_begin = self.journal.now_ns();
@@ -1233,9 +1194,8 @@ where
             false
         };
         // Collapse targets always form the arithmetic progression
-        // `first + j·w` (§3.2); the chunked paths below consume the
-        // progression parameters directly and never materialise a target
-        // vector.
+        // `first + j·w` (§3.2); every path below consumes the progression
+        // parameters directly and never materialises a target vector.
         let first = collapse_first_target(w, high);
         let k = self.config.buffer_size;
         let mut new_data = std::mem::take(&mut self.scratch.select_out);
@@ -1245,14 +1205,10 @@ where
         let all_raw = slots.iter().all(|&i| self.slot_is_unsorted(i));
         // The concat path serves two shapes: every input raw (one sort of
         // the concatenation replaces the deferred per-buffer sorts plus
-        // the merge walk, in either kernel mode), and — with the chunked
-        // kernels on — any ≥ 3-way equal-weight collapse, where one
-        // concat sort beats the pair-merge materialisation even though
-        // the inputs are already sorted. Scalar mode keeps ≥ 3-way sorted
-        // collapses on the classic walk so the reference path stays
-        // exercised.
-        let concat_path =
-            equal_weights && (all_raw || (chunked_kernels_enabled() && slots.len() >= 3));
+        // the merge walk), and any ≥ 3-way equal-weight collapse, where
+        // one concat sort beats the pair-merge materialisation even though
+        // the inputs are already sorted.
+        let concat_path = equal_weights && (all_raw || slots.len() >= 3);
         if concat_path {
             // Equal weight `w0` everywhere: concatenate, sort once, and
             // index the evenly spaced targets directly. Position `t`
@@ -1308,7 +1264,7 @@ where
             // and three sources — together all but a sliver of the mixed
             // collapses the adaptive policy emits — walk the buffers in
             // place; only ≥ 4 sources pay the pair-merge materialisation.
-            if chunked_kernels_enabled() && slots.len() == 2 {
+            if slots.len() == 2 {
                 let (a, b) = (&self.buffers[slots[0]], &self.buffers[slots[1]]);
                 select_two_weighted_spaced(
                     a.data(),
@@ -1320,7 +1276,7 @@ where
                     k,
                     &mut new_data,
                 );
-            } else if chunked_kernels_enabled() && slots.len() == 3 {
+            } else if slots.len() == 3 {
                 let (a, b, c) = (
                     &self.buffers[slots[0]],
                     &self.buffers[slots[1]],
@@ -1338,7 +1294,7 @@ where
                     k,
                     &mut new_data,
                 );
-            } else if chunked_kernels_enabled() {
+            } else {
                 // ≥ 4 sources: pair-merge the buffers into one weighted
                 // run inside the arena, then one branchless sweep.
                 let (pairs, starts, pair_merge) = self.scratch.select.pair_parts_mut();
@@ -1352,18 +1308,6 @@ where
                 }
                 merge_sorted_runs_with(pairs, starts, pair_merge);
                 select_merged_weighted_spaced(pairs, first, w, k, &mut new_data);
-            } else {
-                // Scalar-reference mode (`scalar-kernels`): the classic
-                // walk over a per-collapse source list and a materialised
-                // target vector.
-                let mut targets = std::mem::take(&mut self.scratch.targets);
-                collapse_targets_into(k, w, high, &mut targets);
-                let sources: Vec<WeightedSource<'_, T>> = slots
-                    .iter()
-                    .map(|&i| WeightedSource::new(self.buffers[i].data(), self.buffers[i].weight()))
-                    .collect();
-                select_weighted_with(&sources, &targets, &mut new_data, &mut self.scratch.select);
-                self.scratch.targets = targets;
             }
         }
         if let Some(rec) = &mut self.recorder {
@@ -1399,16 +1343,11 @@ where
         );
         collapse_timer.stop();
         if let Some(begin) = collapse_begin {
-            let path = if concat_path {
-                CollapsePath::Concat
-            } else if chunked_kernels_enabled() && slots.len() == 2 {
-                CollapsePath::TwoSource
-            } else if chunked_kernels_enabled() && slots.len() == 3 {
-                CollapsePath::ThreeSource
-            } else if chunked_kernels_enabled() {
-                CollapsePath::PairMerge
-            } else {
-                CollapsePath::Scalar
+            let path = match slots.len() {
+                _ if concat_path => CollapsePath::Concat,
+                2 => CollapsePath::TwoSource,
+                3 => CollapsePath::ThreeSource,
+                _ => CollapsePath::PairMerge,
             };
             let end = self.journal.now_ns().unwrap_or(begin);
             self.journal.record_at(

@@ -15,18 +15,10 @@
 //!   hit`) instead of a taken-or-not push branch.
 //!
 //! Every kernel has a scalar reference twin (`*_scalar`) whose output is
-//! bitwise identical; the `scalar-kernels` cargo feature forces the
-//! reference implementations everywhere so equivalence proptests and
-//! differential debugging can pin down a kernel regression. `std::simd`
+//! bitwise identical; the equivalence proptests call both directly so a
+//! kernel regression shows up as a diff against its reference. `std::simd`
 //! remains nightly-only, so portable chunking is done with fixed-width
 //! manual unrolling, which the compiler autovectorises where profitable.
-
-/// True when the branchless/chunked kernels are in use; false when the
-/// `scalar-kernels` feature pins the scalar references.
-#[inline]
-pub fn chunked_kernels_enabled() -> bool {
-    cfg!(not(feature = "scalar-kernels"))
-}
 
 /// Width of the unrolled main loops. Eight merge steps touch at most
 /// 8 × 8 bytes per source for primitive elements — one cache line — so
@@ -36,8 +28,8 @@ const UNROLL: usize = 8;
 
 /// Stable two-pointer merge of sorted `a` and `b`, appended to `out`:
 /// the scalar reference for [`merge_two`].
-// panic-free: i < a.len() and j < b.len() guard every index; the tail
-// slices use the loop-exit values, which are ≤ the lengths.
+// i < a.len() and j < b.len() guard every index; the tail slices use the
+// loop-exit values, which are ≤ the lengths.
 // alloc: out is the caller's reserved scratch; pushes stay in capacity.
 pub fn merge_two_scalar<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
     let (mut i, mut j) = (0, 0);
@@ -67,9 +59,6 @@ pub fn merge_two_scalar<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
 // every push in capacity.
 pub fn merge_two<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
     use std::hint::select_unpredictable as sel;
-    if !chunked_kernels_enabled() {
-        return merge_two_scalar(a, b, out);
-    }
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i + UNROLL <= a.len() && j + UNROLL <= b.len() {
@@ -447,7 +436,7 @@ pub fn select_three_weighted_spaced<T: Ord + Clone>(
 /// already merged sequence of `(element, weight)` pairs, under the same
 /// single-crossing contract as [`select_two_weighted`]. This is the final
 /// pass of the ≥ 3-source dense path: the sources are first pair-merged
-/// into one weighted run (`merge_sorted_runs` over `(T, u64)` tuples),
+/// into one weighted run (`merge_sorted_runs_with` over `(T, u64)` tuples),
 /// then selected in one branchless sweep here.
 // panic-free: as select_two_weighted — out holds targets.len() + 1 slots,
 // ti advances at most once per pair and the loop stops at targets.len().
@@ -592,7 +581,7 @@ pub fn slice_min_max_scalar<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
 /// to screen whole batches against the heap thresholds before touching
 /// the heaps.
 pub fn slice_min_max<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
-    if !chunked_kernels_enabled() || data.len() < UNROLL * 2 {
+    if data.len() < UNROLL * 2 {
         return slice_min_max_scalar(data);
     }
     let (first, rest) = data.split_first()?;

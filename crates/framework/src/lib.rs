@@ -38,7 +38,6 @@ pub mod kernels;
 mod merge;
 pub mod policy;
 pub mod radix;
-mod runs;
 pub mod schedule;
 mod snapshot;
 pub mod spine;
@@ -54,17 +53,15 @@ pub use engine::{Engine, EngineConfig};
 pub use invariant::CertifiedSchedule;
 pub use kernels::{slice_min_max, slice_min_max_scalar};
 pub use merge::{
-    collapse_targets, output_position, select_weighted, select_weighted_into, select_weighted_with,
-    total_mass, SelectScratch, WeightedSource,
+    collapse_targets, merge_sorted_runs_with, output_position, select_weighted,
+    select_weighted_into, select_weighted_with, total_mass, MergeScratch, SelectScratch,
+    WeightedSource,
 };
 pub use policy::{
     AdaptiveLowestLevel, AlsabtiRankaSingh, CollapseDecision, CollapsePolicy, MunroPaterson,
 };
 pub use radix::{
     sort_fixed, try_sort_fixed, FixedWidthKey, RadixScratch, RADIX_MAX_LEN, RADIX_MIN_LEN,
-};
-pub use runs::{
-    merge_sorted_runs, merge_sorted_runs_with, run_merge_limit, MergeScratch, RunTracker,
 };
 pub use schedule::{FixedRate, LeafCountSchedule, Mrl99Schedule, RateSchedule};
 pub use snapshot::{BufferSnapshot, EngineSnapshot};

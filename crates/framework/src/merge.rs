@@ -15,10 +15,7 @@
 //! common cases (few sources interleaving coarsely, or few targets) runs
 //! are long and the merge skips nearly all of the input.
 
-use crate::kernels::{
-    chunked_kernels_enabled, select_merged_weighted, select_two_weighted, targets_single_crossing,
-};
-use crate::runs::{merge_sorted_runs_with, MergeScratch};
+use crate::kernels::{select_merged_weighted, select_two_weighted, targets_single_crossing};
 
 /// One sorted input to a weighted merge: a slice of non-decreasing elements,
 /// each representing `weight` input elements.
@@ -114,6 +111,88 @@ impl<T> SelectScratch<T> {
     }
 }
 
+/// Reusable storage for [`merge_sorted_runs_with`]: the ping-pong element
+/// buffer plus the two run-bounds vectors of the bottom-up merge. All
+/// three retain capacity across calls, so a warm scratch makes the merge
+/// allocation-free.
+#[derive(Clone, Debug)]
+pub struct MergeScratch<T> {
+    buf: Vec<T>,
+    bounds: Vec<usize>,
+    next_bounds: Vec<usize>,
+}
+
+// Manual impl: the derive would demand `T: Default`, which empty vectors
+// do not need.
+impl<T> Default for MergeScratch<T> {
+    fn default() -> Self {
+        Self {
+            buf: Vec::new(),
+            bounds: Vec::new(),
+            next_bounds: Vec::new(),
+        }
+    }
+}
+
+/// Merge the sorted runs of `data` (delimited by `run_starts`, which must
+/// begin with 0) into fully sorted order, in place, using `scratch` as the
+/// ping-pong buffer. Bottom-up: each pass merges adjacent run pairs, so
+/// `r` runs cost `⌈log₂ r⌉` passes over the data — `O(n log r)` total.
+///
+/// The merge is stable (ties favour the earlier run), which coincides with
+/// any correct sort for the `Ord`-equal elements the engine stores.
+// panic-free: bounds is run_starts (ascending indices into data, headed by
+// 0) plus data.len(); every range slice below is delimited by adjacent
+// bounds entries guarded by the `bi + 2 < bounds.len()` loop conditions.
+// alloc: the bounds entries are O(r) per merge (r = collapse sources) and
+// stay within the capacity the scratch retains across collapses.
+pub fn merge_sorted_runs_with<T: Ord + Clone>(
+    data: &mut Vec<T>,
+    run_starts: &[usize],
+    scratch: &mut MergeScratch<T>,
+) {
+    debug_assert_eq!(run_starts.first(), Some(&0), "runs must start at 0");
+    if run_starts.len() <= 1 {
+        return;
+    }
+    let n = data.len();
+    // One up-front reservation; otherwise the first pass's pushes grow
+    // the ping-pong buffer through a cascade of reallocations.
+    let buf = &mut scratch.buf;
+    buf.clear();
+    buf.reserve(n);
+    let bounds = &mut scratch.bounds;
+    bounds.clear();
+    bounds.extend_from_slice(run_starts);
+    bounds.push(n);
+    let next_bounds = &mut scratch.next_bounds;
+    next_bounds.clear();
+    // `data` is always the current source; `buf` receives the pass.
+    while bounds.len() > 2 {
+        buf.clear();
+        next_bounds.clear();
+        let mut bi = 0;
+        while bi + 2 < bounds.len() {
+            next_bounds.push(buf.len());
+            crate::kernels::merge_two(
+                &data[bounds[bi]..bounds[bi + 1]],
+                &data[bounds[bi + 1]..bounds[bi + 2]],
+                buf,
+            );
+            bi += 2;
+        }
+        if bi + 1 < bounds.len() {
+            // Odd run out: carry it to the next pass unchanged.
+            next_bounds.push(buf.len());
+            buf.extend_from_slice(&data[bounds[bi]..bounds[bi + 1]]);
+        }
+        next_bounds.push(buf.len());
+        std::mem::swap(data, buf);
+        std::mem::swap(bounds, next_bounds);
+    }
+    debug_assert_eq!(data.len(), n);
+}
+
 /// As [`select_weighted`], writing the selected elements into `out`
 /// (cleared first). Convenience wrapper over [`select_weighted_with`]
 /// with throwaway scratch — hot paths thread a persistent
@@ -134,9 +213,8 @@ pub fn select_weighted_into<T: Ord + Clone>(
 ///
 /// Dense target sets whose spacing satisfies the single-crossing contract
 /// dispatch to the branchless kernels ([`select_two_weighted`] /
-/// [`select_merged_weighted`]); the scalar walks below remain both the
-/// fallback and the bitwise reference (forced by the `scalar-kernels`
-/// feature).
+/// [`select_merged_weighted`]); the scalar walks below remain the
+/// fallback for every other target set.
 // panic-free: the entry asserts are the documented precondition contract
 // (see # Panics on select_weighted); past them every index is invariant-
 // protected — pos[i] < data.len() loop guards, run offsets bounded by
@@ -182,7 +260,7 @@ pub fn select_weighted_with<T: Ord + Clone>(
     let total_elems: usize = sources.iter().map(|s| s.data.len()).sum();
     if targets.len() >= total_elems / 8 {
         let max_w = sources.iter().map(|s| s.weight).max().unwrap_or(1);
-        if chunked_kernels_enabled() && targets_single_crossing(targets, max_w) {
+        if targets_single_crossing(targets, max_w) {
             if let [a, b] = sources {
                 select_two_weighted(a.data, a.weight, b.data, b.weight, targets, out);
                 return;
@@ -508,6 +586,36 @@ mod tests {
             select_weighted(&sources, &targets),
             select_brute(&sources, &targets)
         );
+    }
+
+    fn merged(mut data: Vec<u64>, starts: &[usize]) -> Vec<u64> {
+        merge_sorted_runs_with(&mut data, starts, &mut MergeScratch::default());
+        data
+    }
+
+    #[test]
+    fn merges_many_runs_including_odd_counts() {
+        assert_eq!(
+            merged(vec![1, 4, 9, 2, 3, 10], &[0, 3]),
+            vec![1, 2, 3, 4, 9, 10]
+        );
+        for r in 1..9usize {
+            let mut data = Vec::new();
+            let mut starts = Vec::new();
+            for run in 0..r as u64 {
+                starts.push(data.len());
+                data.extend((0..5u64).map(|i| i * 7 + run));
+            }
+            let mut expect = data.clone();
+            expect.sort_unstable();
+            assert_eq!(merged(data, &starts), expect, "r={r}");
+        }
+    }
+
+    #[test]
+    fn single_run_is_untouched() {
+        assert_eq!(merged(vec![1, 2, 3], &[0]), vec![1, 2, 3]);
+        assert_eq!(merged(vec![], &[0]), Vec::<u64>::new());
     }
 
     #[test]

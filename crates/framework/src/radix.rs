@@ -1,10 +1,11 @@
 //! Radix sealing for fixed-width keys: the type-specialised sort that
 //! closes the gap comparison sorting cannot.
 //!
-//! Every seal and every raw-collapse concatenation in the engine funnels
-//! through one `sort`, and for the uniformly random streams that saturate
-//! the run tracker that sort *is* the ingest hot path. Comparison-based
-//! summaries carry a proven lower bound (Cormode & Veselý 2019), but the
+//! Every parked seal and every raw-collapse concatenation in the engine
+//! funnels through one `sort`, and for uniformly random streams, whose
+//! fills are all parked raw, that sort *is* the ingest hot path.
+//! Comparison-based summaries carry a proven lower bound (Cormode &
+//! Veselý 2019), but the
 //! element types streamed in practice — integers, timestamps, floats —
 //! have fixed-width keys, and an LSD radix sort over 8-bit digits touches
 //! each element once per *live* byte column instead of once per
@@ -378,9 +379,9 @@ fn scatter_count<K: FixedWidthKey>(
     }
 }
 
-/// Radix-sort `data` if `T` is a fixed-width key type, the chunked
-/// kernels are enabled (`scalar-kernels` off) and the slice length falls
-/// inside the measured win window `[RADIX_MIN_LEN, RADIX_MAX_LEN]`.
+/// Radix-sort `data` if `T` is a fixed-width key type and the slice
+/// length falls inside the measured win window
+/// `[RADIX_MIN_LEN, RADIX_MAX_LEN]`.
 /// Returns `true` when the data was sorted; on `false` the caller owes
 /// the comparison fallback (`sort_unstable`).
 ///
@@ -390,10 +391,7 @@ fn scatter_count<K: FixedWidthKey>(
 // concrete `Vec<$ty>` type, and a slice's TypeId would never match.
 #[allow(clippy::ptr_arg)]
 pub fn try_sort_fixed<T: Ord + 'static>(data: &mut Vec<T>, scratch: &mut RadixScratch<T>) -> bool {
-    if !crate::kernels::chunked_kernels_enabled()
-        || data.len() < RADIX_MIN_LEN
-        || data.len() > RADIX_MAX_LEN
-    {
+    if data.len() < RADIX_MIN_LEN || data.len() > RADIX_MAX_LEN {
         return false;
     }
     macro_rules! try_key {
@@ -540,12 +538,8 @@ mod tests {
     fn dispatch_sorts_fixed_width_and_declines_otherwise() {
         let mut ints: Vec<u64> = (0..RADIX_MIN_LEN as u64).rev().collect();
         let mut scratch = RadixScratch::default();
-        // Under scalar-kernels the dispatch declines everything by design.
-        let sorted = try_sort_fixed(&mut ints, &mut scratch);
-        assert_eq!(sorted, crate::kernels::chunked_kernels_enabled());
-        if sorted {
-            assert!(ints.is_sorted());
-        }
+        assert!(try_sort_fixed(&mut ints, &mut scratch));
+        assert!(ints.is_sorted());
 
         // Below the crossover: declined, caller falls back.
         let mut small: Vec<u64> = vec![3, 1, 2];

@@ -4,10 +4,7 @@
 //! straddling the unroll width — every chunked kernel must be bitwise
 //! identical to its scalar reference and to a naive expand-and-sort
 //! oracle, and the evenly-spaced variants must agree with the
-//! target-vector variants. The suite runs under both feature configs: by
-//! default it exercises the chunked kernels, with `--features
-//! scalar-kernels` the same assertions pin the scalar references against
-//! the oracle.
+//! target-vector variants.
 
 use mrl_framework::kernels::{
     merge_two, merge_two_scalar, select_merged_weighted, select_merged_weighted_spaced,
@@ -134,8 +131,7 @@ proptest! {
         select_merged_weighted_spaced(&pairs, first, spacing, targets.len(), &mut out);
         prop_assert_eq!(&out, &oracle);
 
-        // The dispatching walk (chunked by default, the scalar walk under
-        // `scalar-kernels`) must agree too.
+        // The dispatching walk must agree too.
         if !targets.is_empty() {
             let sources = [WeightedSource::new(&a, wa), WeightedSource::new(&b, wb)];
             prop_assert_eq!(select_weighted(&sources, &targets), oracle);

@@ -10,7 +10,7 @@ use mrl_framework::{AdaptiveLowestLevel, Engine, EngineConfig, FixedRate, Mrl99S
 use mrl_obs::{InMemoryRecorder, Key, MetricsHandle};
 
 /// Deterministic pseudo-shuffled stream (LCG) so seals exercise the
-/// run-merge path rather than the presorted fast path.
+/// parked-raw path rather than the presorted fast path.
 fn scrambled(n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(|i| {
         i.wrapping_mul(6364136223846793005)
@@ -47,9 +47,8 @@ fn counters_match_tree_stats_at_rate_one() {
         .map(|&lvl| rec.counter_value(Key::labeled(metrics::LEAVES_BY_LEVEL, lvl)))
         .sum();
     assert_eq!(leaves_by_level, stats.leaves);
-    let seals = rec.counter_value(metrics::SEAL_PRESORTED)
-        + rec.counter_value(metrics::SEAL_RUN_MERGE)
-        + rec.counter_value(metrics::SEAL_PARKED_RAW);
+    let seals =
+        rec.counter_value(metrics::SEAL_PRESORTED) + rec.counter_value(metrics::SEAL_PARKED_RAW);
     assert_eq!(seals, stats.leaves);
     assert_eq!(rec.gauge_value(metrics::ELEMENTS), Some(800.0));
     assert_eq!(

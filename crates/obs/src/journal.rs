@@ -68,9 +68,11 @@ const DEFAULT_CAPACITY: usize = 2;
 pub enum SealKernel {
     /// The fill arrived as a single ascending run: no sort at all.
     Presorted = 0,
-    /// Few runs: merged via the run-tracking / radix seal.
+    /// Few runs merged at seal time. The engine no longer emits it (every
+    /// unsorted fill is parked raw); the variant keeps its wire code so
+    /// older traces still decode.
     RunMerge = 1,
-    /// Run tracking saturated: parked raw for a deferred sort.
+    /// The fill arrived out of order: parked raw for a deferred sort.
     ParkedRaw = 2,
 }
 
@@ -98,8 +100,6 @@ pub enum CollapsePath {
     ThreeSource = 2,
     /// ≥ 4 sources: pairwise merge tree.
     PairMerge = 3,
-    /// Scalar reference walk (mixed weights, generic `T`).
-    Scalar = 4,
 }
 
 impl CollapsePath {
@@ -109,7 +109,6 @@ impl CollapsePath {
             1 => Some(Self::TwoSource),
             2 => Some(Self::ThreeSource),
             3 => Some(Self::PairMerge),
-            4 => Some(Self::Scalar),
             _ => None,
         }
     }
@@ -128,7 +127,8 @@ pub enum EventKind {
         kernel: SealKernel,
         /// Elements sealed (the engine's `k`, or a short final fill).
         k: u64,
-        /// Ascending runs the run tracker counted in the fill.
+        /// Ascending runs in the fill: 1 for a presorted seal, 2 ("at
+        /// least two") for a parked one.
         runs: u64,
         /// Wall-clock nanoseconds the seal took.
         dur_ns: u64,

@@ -302,11 +302,6 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
     ),
     (
         "MRL-L004",
-        "crates/framework/src/runs.rs",
-        "sort-free sealing's run-merge fallback is allowed to sort",
-    ),
-    (
-        "MRL-L004",
         "crates/framework/src/engine.rs",
         "seal/collapse/output paths of the engine itself",
     ),

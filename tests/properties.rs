@@ -294,25 +294,29 @@ proptest! {
             data.extend(r);
         }
         let mut merged = data.clone();
-        let mut scratch = Vec::new();
-        mrl::framework::merge_sorted_runs(&mut merged, &starts, &mut scratch);
+        mrl::framework::merge_sorted_runs_with(
+            &mut merged,
+            &starts,
+            &mut mrl::framework::MergeScratch::default(),
+        );
         let mut sorted = data;
         sorted.sort_unstable();
         prop_assert_eq!(merged, sorted);
     }
 
     #[test]
-    fn run_tracked_sealing_is_chunking_invariant_on_adversarial_inputs(
-        pattern in 0usize..3,
+    fn sortedness_checked_sealing_is_chunking_invariant_on_adversarial_inputs(
+        pattern in 0usize..4,
         n in 1usize..900,
         chunk_sizes in vec(1usize..64, 1..24),
         tie_domain in 1u64..6,
     ) {
-        // Descending, sawtooth and tie-heavy streams drive the run tracker
-        // through its whole regime (single run, few runs, saturated →
-        // deferred seal). At rate 1 no randomness is consumed, so chunked
-        // ingestion must stay bitwise identical to scalar insertion no
-        // matter where the seals and collapses land.
+        // Descending, sawtooth, tie-heavy and run-structured streams drive
+        // sealing through both routes (presorted adoption, raw parking
+        // with its deferred sort). Ascending runs of 23 against k = 16
+        // give fills with exactly one descent. At rate 1 no randomness is
+        // consumed, so chunked ingestion must stay bitwise identical to
+        // scalar insertion no matter where the seals and collapses land.
         let data: Vec<u64> = (0..n)
             .map(|i| match pattern {
                 0 => (n - i) as u64,
@@ -320,24 +324,26 @@ proptest! {
                     let s = i % 16;
                     if s < 8 { s as u64 } else { (16 - s) as u64 }
                 }
-                _ => (i as u64).wrapping_mul(2654435761) % tie_domain,
+                2 => (i as u64).wrapping_mul(2654435761) % tie_domain,
+                _ => (i % 23) as u64,
             })
             .collect();
-        let mut scalar = Engine::new(
-            EngineConfig::new(4, 16),
-            AdaptiveLowestLevel,
-            FixedRate::new(1),
-            29,
-        );
+        let engine = || {
+            Engine::new(
+                EngineConfig::new(4, 16),
+                AdaptiveLowestLevel,
+                FixedRate::new(1),
+                29,
+            )
+        };
+        let mut scalar = engine();
+        let mut uncached = engine();
+        uncached.set_query_cache_enabled(false);
         for &v in &data {
             scalar.insert(v);
+            uncached.insert(v);
         }
-        let mut batched = Engine::new(
-            EngineConfig::new(4, 16),
-            AdaptiveLowestLevel,
-            FixedRate::new(1),
-            29,
-        );
+        let mut batched = engine();
         let mut at = 0usize;
         for &c in chunk_sizes.iter().cycle() {
             if at >= data.len() {
@@ -348,7 +354,11 @@ proptest! {
             at = end;
         }
         let phis = [0.0, 0.25, 0.5, 0.75, 1.0];
-        prop_assert_eq!(batched.query_many(&phis), scalar.query_many(&phis));
+        let answers = scalar.query_many(&phis);
+        prop_assert_eq!(batched.query_many(&phis), answers.clone());
+        // The uncached read path sorts unsorted fills and parked slots on
+        // its own copies; it must pick the same elements as the spine.
+        prop_assert_eq!(uncached.query_many(&phis), answers);
         prop_assert_eq!(batched.stats(), scalar.stats());
         prop_assert_eq!(batched.n(), scalar.n());
     }
