@@ -28,8 +28,14 @@
 //! linear in both `m` and `q`, so the minimum of `(m₀+tr)²/(q₀+tr²)` over
 //! `t ∈ [0, 1]` is at an endpoint or the single interior critical point).
 //!
-//! The simulator inlines the adaptive lowest-level policy; tests cross-check
-//! its decisions against the real engine's [`mrl_framework::TreeStats`].
+//! The simulator keeps its own copy of the adaptive lowest-level policy and
+//! of the allocate-or-collapse loop that [`mrl_framework::Tree`] runs for
+//! the engine, specialised to this replay: the optimizer sweeps the whole
+//! `(b, h)` grid through it at every cold start. Driving the replay through
+//! `Tree` and `AdaptiveLowestLevel::choose_into` instead took 6–24% longer
+//! over that grid. `tests/crosscheck.rs` pins the copy to a bare `Tree`
+//! (`W`, height and onset at every leaf) and to real engines'
+//! [`mrl_framework::TreeStats`].
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -1,10 +1,57 @@
-//! Cross-checks between the data-free schedule simulator and real engine
-//! executions: the whole analysis stands on the claim that the collapse
-//! schedule is a deterministic function of `(b, h)` alone, identical in
-//! both implementations.
+//! Cross-checks between the data-free schedule simulator, the framework's
+//! data-free [`Tree`] and real engine executions: the whole analysis
+//! stands on the claim that the collapse schedule is a deterministic
+//! function of `(b, h)` alone, identical in every implementation.
 
 use mrl_analysis::simulate::replay_prefix;
-use mrl_framework::{AdaptiveLowestLevel, Engine, EngineConfig, Mrl99Schedule};
+use mrl_framework::{
+    AdaptiveLowestLevel, CollapseDecision, Engine, EngineConfig, Mrl99Schedule, Tree, TreeStep,
+};
+
+/// Step a bare tree leaf by leaf and check its `W`, height and onset
+/// against the simulator's replay of the same prefix. The simulator keeps
+/// its own copy of the policy and the allocate-or-collapse loop, so this
+/// pins that copy to the tree the engine runs.
+#[test]
+fn bare_tree_w_height_and_onset_match_simulator_at_every_leaf() {
+    for &(b, h) in &[(2usize, 1u32), (3, 2), (4, 3), (5, 1), (6, 2), (7, 4)] {
+        let mut tree =
+            Tree::new(b, AdaptiveLowestLevel, Mrl99Schedule::new(h)).expect("b >= 2 builds a tree");
+        let mut decision = CollapseDecision::default();
+        let (mut w, mut height, mut onset) = (0u64, 0u32, None);
+        for leaves in 1..=1_200u64 {
+            // Weights double with each level past onset: stop while `W`
+            // still fits a u64.
+            if height >= 40 {
+                break;
+            }
+            loop {
+                match tree.next_step(&mut decision) {
+                    TreeStep::Allocate { .. } => {}
+                    TreeStep::Collapse(step) => {
+                        w += step.weight;
+                        height = height.max(decision.output_level);
+                    }
+                    TreeStep::Fill(_) => break,
+                }
+                if tree.sampling_started() && onset.is_none() {
+                    onset = Some(tree.leaves());
+                }
+            }
+            let fill = tree.complete_fill().expect("a fill is open");
+            height = height.max(fill.level);
+            if tree.sampling_started() && onset.is_none() {
+                onset = Some(tree.leaves());
+            }
+            assert_eq!(
+                (w, height, onset),
+                replay_prefix(b, h, leaves),
+                "b={b} h={h} after {leaves} leaves"
+            );
+        }
+        assert!(onset.is_some(), "b={b} h={h}: replay never reached onset");
+    }
+}
 
 /// Run a real engine and capture `(leaves, W, max_level, onset)` at each
 /// leaf completion.

@@ -82,12 +82,16 @@ pub(crate) const PANIC_ROOTS: &[&str] = &[
     "query",
     "query_many",
     "finish",
-    "collapse_once",
     "collapse_all_full",
     "perform_collapse",
     "complete_fill",
     "take_filler",
     "begin_fill",
+    "insert_sampled",
+    "next_step",
+    "close_fill",
+    "sample_batch",
+    "deal",
 ];
 
 /// Result-affecting entry points for the nondeterminism pass (MRL-A008):
@@ -108,12 +112,16 @@ pub(crate) const NONDET_ROOTS: &[&str] = &[
     "query_many",
     "rank_of",
     "finish",
-    "collapse_once",
     "collapse_all_full",
     "perform_collapse",
     "complete_fill",
     "take_filler",
     "begin_fill",
+    "insert_sampled",
+    "next_step",
+    "close_fill",
+    "sample_batch",
+    "deal",
     "into_shipment",
     "add_buffer",
     "from_shipments",
@@ -138,6 +146,8 @@ const INGEST_ROOTS: &[&str] = &[
     "offer_slice",
     "accept",
     "accept_many",
+    "sample_batch",
+    "deal",
 ];
 
 /// Identifiers treated as exact-accounting values (weights, counts,

@@ -689,15 +689,44 @@ mod tests {
         let mut args = args_with_phis(&[0.5]);
         args.shards = 2;
         args.trace = Some(path.to_string_lossy().into_owned());
+        args.stats = Some(StatsFormat::Json);
         let input: String = (0..20_000u64).map(|i| format!("{i}\n")).collect();
-        let (summary, _) = run_on(&input, &args);
+        let (summary, _, stats) = run_with_stats_on(&input, &args);
         assert_eq!(summary.n, 20_000);
         let text = std::fs::read_to_string(&path).expect("--trace wrote the file");
         std::fs::remove_file(&path).ok();
         assert!(text.starts_with("{\"traceEvents\":["), "{text}");
         assert!(text.contains("\"name\":\"driver\""), "producer ring named");
         assert!(text.contains("\"name\":\"shard[0]\""), "worker rings named");
-        assert!(text.contains("\"name\":\"shard.dispatch\""), "{summary:?}");
+        // One dispatch per message: each completed fill (a leaf of its
+        // shard's tree, holding k blocks of 2^level elements) plus one
+        // end-of-stream tail per shard whose stream ended inside a fill.
+        let opts = if cfg!(debug_assertions) {
+            OptimizerOptions::fast()
+        } else {
+            OptimizerOptions::default()
+        };
+        let k = UnknownN::<u64>::with_options(args.epsilon, args.delta, opts)
+            .config()
+            .k as u64;
+        let report: StatsReport =
+            serde_json::from_str(stats.lines().last().unwrap()).expect("valid JSON");
+        let messages: u64 = report
+            .pipeline
+            .expect("sharded mode reports telemetry")
+            .per_shard
+            .iter()
+            .map(|st| {
+                let in_fills: u64 = st
+                    .leaves_by_level
+                    .iter()
+                    .map(|(&level, &count)| count * k * (1 << level))
+                    .sum();
+                st.leaves + u64::from(st.elements > in_fills)
+            })
+            .sum();
+        let dispatches = text.matches("\"name\":\"shard.dispatch\"").count();
+        assert_eq!(dispatches as u64, messages, "{summary:?}");
         assert!(
             text.contains("\"name\":\"seal\""),
             "engine events flow through"

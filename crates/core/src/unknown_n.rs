@@ -114,6 +114,17 @@ impl<T: Ord + Clone + 'static> UnknownN<T> {
         self.engine.extend(iter);
     }
 
+    /// Take in block representatives sampled ahead of this sketch at its
+    /// own fill rates — the sharded pipeline's hand-off (see
+    /// [`Engine::insert_sampled`]). `reps` comes back empty, holding spare
+    /// storage.
+    ///
+    /// # Panics
+    /// As [`Engine::insert_sampled`].
+    pub fn insert_sampled(&mut self, reps: &mut Vec<T>, pending: Option<(T, u64)>) {
+        self.engine.insert_sampled(reps, pending);
+    }
+
     /// Declare end-of-stream (optional — queries work at any prefix; this
     /// only seals the trailing partial buffer).
     pub fn finish(&mut self) {

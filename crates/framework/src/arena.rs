@@ -17,7 +17,6 @@
 
 use std::cell::RefCell;
 
-use crate::buffer::BufferMeta;
 use crate::merge::SelectScratch;
 use crate::policy::CollapseDecision;
 use crate::radix::RadixScratch;
@@ -41,17 +40,14 @@ pub struct ScratchArena<T> {
     /// `(element, weight)` pair buffers of the multi-source merge path and
     /// their run bounds.
     pub(crate) select: SelectScratch<T>,
-    /// Full-buffer metadata snapshot handed to the collapse policy.
-    pub(crate) meta: Vec<BufferMeta>,
     /// Occupancy-by-level counts for the metrics gauges.
     pub(crate) occupancy: Vec<u64>,
-    /// Slot-index list for whole-set collapses (`collapse_all_full`).
-    pub(crate) slots: Vec<usize>,
     /// Staging buffer that batches `Engine::extend`'s iterator into
     /// `insert_batch` calls.
     pub(crate) stage: Vec<T>,
-    /// Collapse-policy decision scratch (`CollapsePolicy::choose_into`):
-    /// the promotion and collapse-slot vectors are refilled each collapse.
+    /// The tree's collapse decision (`Tree::next_step`,
+    /// `Tree::collapse_all_full`): the promotion and collapse-slot vectors
+    /// are refilled each collapse.
     pub(crate) decision: CollapseDecision,
     /// Radix-seal ping-pong buffer (`radix::sort_fixed`), used by every
     /// seal and raw-collapse sort when the element type is fixed-width.
@@ -72,9 +68,7 @@ impl<T> Default for ScratchArena<T> {
             concat: Vec::new(),
             select_out: Vec::new(),
             select: SelectScratch::default(),
-            meta: Vec::new(),
             occupancy: Vec::new(),
-            slots: Vec::new(),
             stage: Vec::new(),
             decision: CollapseDecision::default(),
             radix: RadixScratch::default(),

@@ -1,6 +1,10 @@
 //! The streaming engine: `New` / `Collapse` / `Output` composed under a
 //! collapse policy and a sampling-rate schedule.
 //!
+//! The engine moves data; it decides nothing about the tree. Every
+//! allocation, collapse and fill rate comes from its [`Tree`], and every
+//! sampled element from its [`FillFront`].
+//!
 //! [`Engine`] is the common machinery behind every algorithm in the paper:
 //!
 //! * unknown-`N` (§3): [`crate::AdaptiveLowestLevel`] + [`crate::Mrl99Schedule`],
@@ -13,10 +17,11 @@
 //! aggregation (§3.7, \[Hel97\]).
 
 use mrl_obs::{CollapsePath, EventKind, JournalHandle, Key, MetricsHandle, SealKernel};
-use mrl_sampling::{rng_from_seed, BlockSampler, SketchRng};
+use mrl_sampling::rng_from_seed;
 
 use crate::arena::ScratchArena;
 use crate::buffer::{Buffer, BufferState};
+use crate::front::{sample_batch, FillFront, FillSink};
 use crate::kernels::{
     select_merged_weighted_spaced, select_three_weighted_spaced, select_two_weighted_spaced,
 };
@@ -24,12 +29,12 @@ use crate::merge::{
     collapse_first_target, merge_sorted_runs_with, output_position, select_weighted, total_mass,
     WeightedSource,
 };
-use crate::policy::CollapsePolicy;
+use crate::policy::{CollapseDecision, CollapsePolicy};
 use crate::radix::try_sort_fixed;
 use crate::schedule::RateSchedule;
 use crate::spine::QuerySpine;
 use crate::stats::TreeStats;
-use crate::tree::TreeRecorder;
+use crate::tree::{allocation_problem, CollapseStep, Fill, Tree, TreeRecorder, TreeStep};
 
 /// Metric keys the engine emits (all on buffer-seal or collapse
 /// granularity — once per `k` raw elements at most — so an attached
@@ -108,16 +113,15 @@ impl EngineConfig {
 #[derive(Clone, Debug)]
 pub struct Engine<T, P, R> {
     config: EngineConfig,
-    /// Allocated buffer slots; may be shorter than `b` under a lazy
-    /// allocation schedule (§5).
+    /// Buffer slots, one per slot the tree has allocated (fewer than `b`
+    /// under a lazy allocation schedule, §5): the data the tree's slot
+    /// metadata describes.
     buffers: Vec<Buffer<T>>,
-    /// `allocation[i]` = number of leaves that must exist before slot `i`
-    /// may be allocated (all zero by default: allocate up front).
-    allocation: Vec<u64>,
-    policy: P,
-    rate_schedule: R,
-    sampler: BlockSampler<T>,
-    filler: Vec<T>,
+    /// The data-free control: slot metadata, allocation thresholds,
+    /// collapse policy and rate schedule.
+    tree: Tree<P, R>,
+    /// `New`'s sampler state: block sampler, RNG and the fill in progress.
+    front: FillFront<T>,
     /// Slots holding raw (deliberately unsorted) fill data. When a fill
     /// arrives out of order, sealing *defers* the sort: if the slot is
     /// later collapsed together with other raw equal-weight slots, one sort
@@ -128,10 +132,6 @@ pub struct Engine<T, P, R> {
     /// alongside the lazily allocated slot table) so marking a seal is a
     /// flag store, not a push.
     unsorted_mask: Vec<bool>,
-    fill_rate: u64,
-    fill_level: u32,
-    filling: bool,
-    collapse_high_phase: bool,
     /// All scratch storage reused across seals, collapses, gauge
     /// publications and `extend` staging, so steady-state streaming
     /// allocates nothing (see [`ScratchArena`]).
@@ -143,10 +143,7 @@ pub struct Engine<T, P, R> {
     /// the same once-per-`k`-elements granularity as the metrics.
     /// Disabled by default — one predicted branch per site.
     journal: JournalHandle,
-    recorder: Option<TreeRecorder>,
-    slot_nodes: Vec<Option<usize>>,
     sample_tap: Option<Vec<(T, u64)>>,
-    max_allocated: usize,
     finished: bool,
     /// Ingest epoch: incremented by every mutation that can change what a
     /// query observes (insert, batch insert, collapse, finish, snapshot
@@ -157,7 +154,6 @@ pub struct Engine<T, P, R> {
     /// spine (the default). Disabled, every query re-runs the direct
     /// weighted merge — kept for differential testing of the cache.
     query_cache: bool,
-    rng: SketchRng,
     /// The offline-certified error coefficients this engine is audited
     /// against after every seal/collapse (feature `invariant-audit`).
     #[cfg(feature = "invariant-audit")]
@@ -182,7 +178,8 @@ where
     /// `allocation[0] == 0`.
     ///
     /// # Panics
-    /// Panics if the schedule is malformed.
+    /// Panics if the sizes or the schedule are malformed, or the rate
+    /// schedule starts at rate 0.
     pub fn with_allocation(
         config: EngineConfig,
         policy: P,
@@ -190,45 +187,29 @@ where
         allocation: Vec<u64>,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            allocation.len(),
-            config.num_buffers,
-            "allocation schedule must cover every buffer"
+        let problem = allocation_problem(config.num_buffers, &allocation);
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
+        assert!(config.buffer_size >= 1, "buffer size must be positive");
+        let front = FillFront::build(
+            config.buffer_size,
+            rate_schedule.rate(),
+            rng_from_seed(seed),
         );
-        assert_eq!(
-            allocation[0], 0,
-            "the first buffer must be available immediately"
-        );
-        assert!(
-            allocation.windows(2).all(|w| w[0] <= w[1]),
-            "allocation schedule must be non-decreasing"
-        );
-        let rate = rate_schedule.rate();
+        let tree = Tree::build(config.num_buffers, policy, rate_schedule, allocation);
         Self {
             config,
             buffers: Vec::new(),
-            allocation,
-            policy,
-            rate_schedule,
-            sampler: BlockSampler::new(rate),
-            filler: Vec::with_capacity(config.buffer_size),
+            tree,
+            front,
             unsorted_mask: Vec::new(),
-            fill_rate: rate,
-            fill_level: 0,
-            filling: false,
-            collapse_high_phase: false,
             scratch: ScratchArena::default(),
             stats: TreeStats::default(),
             metrics: MetricsHandle::disabled(),
             journal: JournalHandle::disabled(),
-            recorder: None,
-            slot_nodes: Vec::new(),
             sample_tap: None,
-            max_allocated: 0,
             finished: false,
             epoch: 0,
             query_cache: true,
-            rng: rng_from_seed(seed),
             #[cfg(feature = "invariant-audit")]
             certified: None,
         }
@@ -238,7 +219,7 @@ where
     /// inserting data.
     pub fn enable_tree_recording(&mut self) {
         assert_eq!(self.stats.elements, 0, "enable recording before inserting");
-        self.recorder = Some(TreeRecorder::new());
+        self.tree.enable_recording();
     }
 
     /// Enable recording of every emitted sample element and its weight
@@ -259,7 +240,9 @@ where
         // Saturating: both counters track disjoint parts of one stream, so
         // their sum is the stream length and cannot wrap unless the stream
         // itself exceeds u64 — degrade to a pinned count, never wrap.
-        self.stats.elements.saturating_add(self.sampler.pending())
+        self.stats
+            .elements
+            .saturating_add(self.front.pending_count())
     }
 
     /// True once [`Engine::finish`] has been called.
@@ -350,9 +333,14 @@ where
         Some(f(&spine))
     }
 
+    /// The data-free tree this engine moves its data by.
+    pub fn tree(&self) -> &Tree<P, R> {
+        &self.tree
+    }
+
     /// The recorded collapse tree, if recording was enabled.
     pub fn recorder(&self) -> Option<&TreeRecorder> {
-        self.recorder.as_ref()
+        self.tree.recorder()
     }
 
     /// The recorded sample sequence, if the tap was enabled.
@@ -363,12 +351,7 @@ where
     /// Node ids (into the recorder) of the current root buffers, if
     /// recording was enabled.
     pub fn root_nodes(&self) -> Vec<usize> {
-        self.slot_nodes
-            .iter()
-            .zip(&self.buffers)
-            .filter(|(_, b)| b.state() != BufferState::Empty)
-            .filter_map(|(n, _)| *n)
-            .collect()
+        self.tree.root_nodes()
     }
 
     /// Buffer slots currently allocated.
@@ -376,9 +359,10 @@ where
         self.buffers.len()
     }
 
-    /// High-water mark of allocated slots.
+    /// High-water mark of allocated slots. Slots are never released, so
+    /// this equals [`Engine::allocated_slots`].
     pub fn max_allocated_slots(&self) -> usize {
-        self.max_allocated
+        self.buffers.len()
     }
 
     /// Current memory footprint in elements (allocated slots × `k`).
@@ -388,33 +372,27 @@ where
 
     /// Current sampling rate of the `New` operation.
     pub fn current_rate(&self) -> u64 {
-        self.rate_schedule.rate()
+        self.tree.rate()
     }
 
     /// True once the non-uniform sampler has moved past rate 1.
     pub fn sampling_started(&self) -> bool {
-        self.rate_schedule.sampling_started()
+        self.tree.sampling_started()
     }
 
     /// Insert one stream element.
     ///
     /// # Panics
     /// Panics if called after [`Engine::finish`].
-    // alloc: filler.push lands in capacity reserved by the recycled slot
-    // storage (complete_fill); the sample tap is opt-in test support.
     pub fn insert(&mut self, item: T) {
         assert!(!self.finished, "cannot insert after finish()");
         self.bump_epoch();
-        if !self.filling {
+        if !self.front.is_filling() {
             self.begin_fill();
         }
-        if let Some(repr) = self.sampler.offer(item, &mut self.rng) {
-            self.stats.record_block(self.fill_rate);
-            if let Some(tap) = &mut self.sample_tap {
-                tap.push((repr.clone(), self.fill_rate));
-            }
-            self.filler.push(repr);
-            if self.filler.len() == self.config.buffer_size {
+        if self.front.offer(item) {
+            self.sampled(1);
+            if self.front.is_full() {
                 self.complete_fill();
             }
         }
@@ -432,60 +410,45 @@ where
     ///
     /// # Panics
     /// Panics if called after [`Engine::finish`].
-    // alloc: as in `insert` — pushes go into recycled k-capacity filler
-    // storage; the sample tap is opt-in test support.
     pub fn insert_batch(&mut self, items: &[T]) {
         assert!(!self.finished, "cannot insert after finish()");
         if !items.is_empty() {
             self.bump_epoch();
         }
-        let mut rest = items;
-        while !rest.is_empty() {
-            if !self.filling {
-                self.begin_fill();
-            }
-            // Raw stream elements this fill can still absorb: each of the
-            // `room` free filler slots stands for `fill_rate` elements,
-            // less whatever the pending block has already consumed.
-            let room = (self.config.buffer_size - self.filler.len()) as u64;
-            // Saturating: begin_fill guarantees room ≥ 1 and the pending
-            // block never exceeds one fill's worth (pending < fill_rate),
-            // so absorb ≥ 1 in practice; saturation only defends corrupted
-            // state from looping on a wrapped subtraction.
-            let absorb = room
-                .saturating_mul(self.fill_rate)
-                .saturating_sub(self.sampler.pending());
-            let take = absorb.min(rest.len() as u64) as usize;
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
-            if self.fill_rate == 1 {
-                // Every element is its own block: bypass the sampler and
-                // bulk-copy straight into the filler.
-                if let Some(tap) = self.sample_tap.as_mut() {
-                    for v in chunk {
-                        tap.push((v.clone(), 1));
-                    }
-                }
-                self.filler.extend_from_slice(chunk);
-                self.stats.record_blocks(1, chunk.len() as u64);
-            } else {
-                let emitted = {
-                    let filler = &mut self.filler;
-                    let fill_rate = self.fill_rate;
-                    let mut tap = self.sample_tap.as_mut();
-                    self.sampler.offer_slice(chunk, &mut self.rng, &mut |repr| {
-                        if let Some(tap) = tap.as_mut() {
-                            tap.push((repr.clone(), fill_rate));
-                        }
-                        filler.push(repr);
-                    })
-                };
-                self.stats.record_blocks(self.fill_rate, emitted as u64);
-            }
-            if self.filler.len() == self.config.buffer_size {
-                debug_assert_eq!(self.sampler.pending(), 0);
-                self.complete_fill();
-            }
+        sample_batch(&mut Ingest(self), items);
+    }
+
+    /// Take in block representatives sampled ahead of this engine, at the
+    /// rates its own tree assigns: the hand-off of the sharded pipeline,
+    /// whose producer runs each shard's [`FillFront`] against a replica of
+    /// the shard's [`Tree`] and ships only what the sampler kept.
+    ///
+    /// `reps` continues the open fill, or opens the next one; a fill that
+    /// reaches `k` is sealed here. `pending` is the incomplete block the
+    /// stream ended in, as `(representative, elements seen)`, and may only
+    /// accompany a fill that is not full. When the representatives come
+    /// from a [`FillFront`] seeded like this engine and fed slices through
+    /// [`crate::sample_batch`], the engine ends up exactly where
+    /// [`Engine::insert_batch`] on the same slices would have put it. On
+    /// return `reps` is empty, holding spare storage the caller may reuse.
+    ///
+    /// # Panics
+    /// Panics if called after [`Engine::finish`], or as
+    /// [`FillFront::adopt`] on a fill that does not fit.
+    pub fn insert_sampled(&mut self, reps: &mut Vec<T>, pending: Option<(T, u64)>) {
+        assert!(!self.finished, "cannot insert after finish()");
+        if reps.is_empty() && pending.is_none() {
+            return;
+        }
+        self.bump_epoch();
+        if !self.front.is_filling() {
+            self.begin_fill();
+        }
+        let count = reps.len();
+        self.front.adopt(reps, pending);
+        self.sampled(count);
+        if self.front.is_full() {
+            self.complete_fill();
         }
     }
 
@@ -518,46 +481,50 @@ where
     /// Declare end-of-stream: the partially filled buffer (if any) becomes a
     /// `Partial` buffer (§3.1). Queries remain available; further inserts
     /// panic.
-    // panic-free: empty_slot() is Some because begin_fill reserved a slot
-    // for the fill in progress (filling == true on this branch), and the
-    // deferred-seal sweep indexes buffers by 0..len.
-    // alloc: tap is opt-in test support; filler.push has reserved capacity.
+    // panic-free: close_fill(state) is Some because begin_fill opened the
+    // tree's fill (the front is filling on this branch) and reserved its
+    // empty slot; the deferred-seal sweep indexes buffers by 0..len.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.bump_epoch();
-        if self.filling {
-            if let Some((tail, pending)) = self.sampler.flush() {
+        if self.front.is_filling() {
+            if let Some(seen) = self.front.close() {
                 // The trailing incomplete block still contributes its
                 // representative; per the paper the partial buffer's
                 // elements all carry the buffer weight `r` (the analysis
                 // excludes the partial buffer from Lemma 5, §4.2).
-                self.stats.record_block(pending);
-                if let Some(tap) = &mut self.sample_tap {
-                    tap.push((tail.clone(), self.fill_rate));
-                }
-                self.filler.push(tail);
+                self.stats.record_block(seen);
+                self.tap_recent(1);
             }
-            if !self.filler.is_empty() {
-                let (mut data, sorted) = self.take_filler();
+            if self.front.filler().is_empty() {
+                self.front.take_fill(Vec::new());
+                self.tree.close_fill(BufferState::Empty);
+            } else {
+                let level = self.tree.last_fill().level;
+                let (mut data, sorted) = self.take_filler(Vec::new(), level);
                 if !sorted && !try_sort_fixed(&mut data, &mut self.scratch.radix) {
                     data.sort_unstable();
                 }
-                let idx = self
-                    .empty_slot()
+                // The tail block can take the fill's last place: the buffer
+                // is then full, though no leaf.
+                let state = if data.len() == self.config.buffer_size {
+                    BufferState::Full
+                } else {
+                    BufferState::Partial
+                };
+                let fill = self
+                    .tree
+                    .close_fill(state)
                     .expect("begin_fill reserved an empty slot");
-                self.buffers[idx].populate_sorted(
+                self.buffers[fill.slot].populate_sorted(
                     data,
-                    self.fill_rate,
-                    self.fill_level,
+                    fill.rate,
+                    fill.level,
                     self.config.buffer_size,
                 );
-                if let Some(rec) = &mut self.recorder {
-                    self.slot_nodes[idx] = Some(rec.add_leaf(self.fill_rate, self.fill_level));
-                }
             }
-            self.filling = false;
         }
         // Restore the sorted invariant on any slot whose seal was deferred:
         // once finished, every populated buffer is sorted and the engine can
@@ -609,14 +576,15 @@ where
         // Only clone-and-sort the in-progress fill when it is actually out
         // of order; an ascending stream (or a freshly started fill) reads
         // straight from `filler`.
-        let sorted_holder: Option<Vec<T>> = if self.filler.is_sorted() {
+        let filler = self.front.filler();
+        let sorted_holder: Option<Vec<T>> = if filler.is_sorted() {
             None
         } else {
-            let mut v = self.filler.clone();
+            let mut v = filler.to_vec();
             v.sort_unstable();
             Some(v)
         };
-        let filler_view: &[T] = sorted_holder.as_deref().unwrap_or(&self.filler);
+        let filler_view: &[T] = sorted_holder.as_deref().unwrap_or(filler);
         // Deferred-seal slots hold raw data; queries read a sorted copy
         // (Output never mutates state, §3.7).
         let raw_copies: Vec<(usize, Vec<T>)> = (0..self.buffers.len())
@@ -627,7 +595,7 @@ where
                 (i, v)
             })
             .collect();
-        let pending = self.sampler.peek();
+        let pending = self.front.pending();
         let mut sources: Vec<WeightedSource<'_, T>> = Vec::new();
         for (i, b) in self.buffers.iter().enumerate() {
             if b.state() != BufferState::Empty {
@@ -640,7 +608,7 @@ where
             }
         }
         if !filler_view.is_empty() {
-            sources.push(WeightedSource::new(filler_view, self.fill_rate));
+            sources.push(WeightedSource::new(filler_view, self.front.rate()));
         }
         let tail_holder;
         if let Some((tail, seen)) = pending {
@@ -690,8 +658,9 @@ where
         // Saturating like Buffer::mass: the total is the stream length by
         // weight conservation, so wrapping is impossible in a consistent
         // engine — pin rather than wrap if state is ever corrupted.
-        s = s.saturating_add((self.filler.len() as u64).saturating_mul(self.fill_rate));
-        if let Some((_, seen)) = self.sampler.peek() {
+        let filler = (self.front.filler().len() as u64).saturating_mul(self.front.rate());
+        s = s.saturating_add(filler);
+        if let Some((_, seen)) = self.front.pending() {
             s = s.saturating_add(seen);
         }
         s
@@ -707,8 +676,8 @@ where
             .map(Buffer::weight)
             .max()
             .unwrap_or(0);
-        if !self.filler.is_empty() || self.sampler.peek().is_some() {
-            w = w.max(self.fill_rate);
+        if !self.front.filler().is_empty() || self.front.pending().is_some() {
+            w = w.max(self.front.rate());
         }
         w
     }
@@ -723,28 +692,16 @@ where
     /// Collapse **all** full buffers into one (used by the parallel
     /// protocol, §6, before shipping buffers to the coordinator). No-op if
     /// fewer than two buffers are full.
-    // panic-free: the collected slot list holds valid buffer indices by
-    // construction (enumerate over the live buffers).
     pub fn collapse_all_full(&mut self) {
         self.bump_epoch();
-        // The slot list leaves the arena for the duration so
+        // The decision leaves the arena for the duration so
         // perform_collapse can borrow `&mut self` while it is alive.
-        let mut full = std::mem::take(&mut self.scratch.slots);
-        full.clear();
-        full.extend(
-            self.buffers
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.state() == BufferState::Full)
-                .map(|(i, _)| i),
-        );
-        if full.len() >= 2 {
-            if let Some(max_level) = full.iter().map(|&i| self.buffers[i].level()).max() {
-                self.perform_collapse(&full, max_level + 1);
-            }
+        let mut decision = std::mem::take(&mut self.scratch.decision);
+        if let Some(step) = self.tree.collapse_all_full(&mut decision) {
+            self.perform_collapse(&decision, step);
         }
-        full.clear();
-        self.scratch.slots = full;
+        decision.clear();
+        self.scratch.decision = decision;
     }
 
     /// Tear down the engine and return its non-empty buffers
@@ -782,27 +739,34 @@ where
 
     /// Lazy-allocation thresholds.
     pub(crate) fn allocation_thresholds(&self) -> &[u64] {
-        &self.allocation
+        self.tree.allocation()
     }
 
-    /// In-progress fill: (elements, rate, level, active?).
+    /// In-progress fill: (elements, rate, level, active?). Rate and level
+    /// are the last fill's while none is active.
     pub(crate) fn fill_state(&self) -> (&[T], u64, u32, bool) {
-        (&self.filler, self.fill_rate, self.fill_level, self.filling)
+        let fill = self.tree.last_fill();
+        (
+            self.front.filler(),
+            fill.rate,
+            fill.level,
+            self.front.is_filling(),
+        )
     }
 
     /// The pending (incomplete) block's representative and element count.
     pub(crate) fn pending_block(&self) -> Option<(T, u64)> {
-        self.sampler.peek().map(|(v, seen)| (v.clone(), seen))
+        self.front.pending().map(|(v, seen)| (v.clone(), seen))
     }
 
     /// Even-weight collapse alternation phase.
     pub(crate) fn collapse_phase(&self) -> bool {
-        self.collapse_high_phase
+        self.tree.high_phase()
     }
 
     /// The rate schedule's current state.
     pub(crate) fn schedule_state(&self) -> &R {
-        &self.rate_schedule
+        self.tree.schedule()
     }
 
     /// Overwrite the internals from a snapshot (called by
@@ -831,17 +795,22 @@ where
             self.buffers.len() <= self.config.num_buffers,
             "snapshot exceeds the buffer budget"
         );
-        self.slot_nodes = vec![None; self.buffers.len()];
-        self.max_allocated = self.buffers.len();
+        let fill = Fill {
+            slot: self.buffers.len().saturating_sub(1),
+            rate: fill_rate,
+            level: fill_level,
+        };
+        self.tree.restore(
+            self.buffers.iter().enumerate().map(|(i, b)| b.meta(i)),
+            fill,
+            filling,
+            collapse_high_phase,
+            stats.leaves,
+        );
         // Snapshots always carry sorted buffer data (the writer sorts raw
         // slots' copies), so no deferred-seal marks survive a restore.
         self.unsorted_mask.fill(false);
-        self.filler = filler;
-        self.fill_rate = fill_rate;
-        self.fill_level = fill_level;
-        self.filling = filling;
-        self.sampler = BlockSampler::with_pending(fill_rate, pending);
-        self.collapse_high_phase = collapse_high_phase;
+        self.front.restore(filler, fill_rate, filling, pending);
         self.stats = stats;
         self.finished = finished;
         self.bump_epoch();
@@ -880,12 +849,13 @@ where
         // buffer's tail block rounds its weight up by < one block.
         let mass = self.output_mass();
         let n = self.n();
+        let fill = self.tree.last_fill();
         if self.finished {
             assert!(
-                mass >= n && mass - n < self.fill_rate.max(1),
+                mass >= n && mass - n < fill.rate.max(1),
                 "[{context}] finished mass {mass} must round n {n} up by < one block \
                  (rate {})",
-                self.fill_rate
+                fill.rate
             );
         } else {
             assert_eq!(
@@ -900,6 +870,26 @@ where
             self.buffers.len(),
             self.config.num_buffers
         );
+        // The data follows the tree: every buffer carries exactly the
+        // state, weight and level of its slot, and both agree on whether a
+        // fill is open.
+        assert_eq!(
+            self.buffers.len(),
+            self.tree.slots().len(),
+            "[{context}] buffer slots and tree slots differ in number"
+        );
+        assert_eq!(
+            self.front.is_filling(),
+            self.tree.fill().is_some(),
+            "[{context}] front and tree disagree on the open fill"
+        );
+        for (idx, (b, slot)) in self.buffers.iter().zip(self.tree.slots()).enumerate() {
+            assert_eq!(
+                b.meta(idx),
+                *slot,
+                "[{context}] buffer {idx} differs from its tree slot"
+            );
+        }
         for (idx, b) in self.buffers.iter().enumerate() {
             match b.state() {
                 BufferState::Empty => continue,
@@ -923,7 +913,7 @@ where
             // The partial buffer sealed by finish() carries the in-progress
             // fill's level, which may not have a completed leaf yet — allow
             // `fill_level` alongside the deepest recorded level.
-            let level_cap = self.stats.max_level.max(self.fill_level);
+            let level_cap = self.stats.max_level.max(fill.level);
             assert!(
                 b.level() <= level_cap,
                 "[{context}] buffer {idx} at level {} above the tree's max {level_cap}",
@@ -946,7 +936,7 @@ where
         // accounted by the coordinator's merge analysis instead.
         if let Some(cert) = &self.certified {
             if mass > 0 && !self.finished {
-                let sampling = self.rate_schedule.sampling_started();
+                let sampling = self.tree.sampling_started();
                 let bound = self.tree_error_bound() as f64;
                 let budget = cert.tree_budget(sampling, mass, k);
                 assert!(
@@ -965,67 +955,66 @@ where
 
     // ---- internals ------------------------------------------------------
 
-    fn empty_slot(&self) -> Option<usize> {
-        self.buffers
-            .iter()
-            .position(|b| b.state() == BufferState::Empty)
-    }
-
-    // panic-free: allocation[allocated] is indexed only while allocated <
-    // num_buffers, and the allocation schedule is built with num_buffers
-    // entries at construction.
+    /// Open the next fill: carry out the tree's allocations and collapses
+    /// until it frees a slot, then start the front at the fill's rate.
     // alloc: buffer-slot growth happens at most num_buffers times over the
     // engine's whole lifetime — the paper's b·k memory budget, not a
     // per-element cost.
     fn begin_fill(&mut self) {
-        debug_assert!(!self.filling);
-        debug_assert_eq!(self.sampler.pending(), 0);
-        // Secure an empty slot: allocate lazily when the schedule allows,
-        // collapse otherwise.
-        while self.empty_slot().is_none() {
-            let allocated = self.buffers.len();
-            let may_allocate = allocated < self.config.num_buffers
-                && self.stats.leaves >= self.allocation[allocated];
-            let full_count = self
-                .buffers
-                .iter()
-                .filter(|b| b.state() == BufferState::Full)
-                .count();
-            if may_allocate || full_count < 2 {
-                assert!(
-                    allocated < self.config.num_buffers,
-                    "no empty buffer, none allocatable, and fewer than two full buffers"
-                );
-                self.buffers.push(Buffer::empty(self.config.buffer_size));
-                self.slot_nodes.push(None);
-                self.max_allocated = self.max_allocated.max(self.buffers.len());
-            } else {
-                self.collapse_once();
+        debug_assert!(!self.front.is_filling());
+        debug_assert_eq!(self.front.pending_count(), 0);
+        let previous = self.tree.last_fill().rate;
+        // The decision leaves the arena for the duration so
+        // perform_collapse can borrow `&mut self` while it is alive.
+        let mut decision = std::mem::take(&mut self.scratch.decision);
+        let fill = loop {
+            match self.tree.next_step(&mut decision) {
+                TreeStep::Allocate { .. } => {
+                    self.buffers.push(Buffer::empty(self.config.buffer_size));
+                }
+                TreeStep::Collapse(step) => self.perform_collapse(&decision, step),
+                TreeStep::Fill(fill) => break fill,
             }
-        }
-        let rate = self.rate_schedule.rate();
-        if rate != self.fill_rate {
+        };
+        decision.clear();
+        self.scratch.decision = decision;
+        if fill.rate != previous {
             self.metrics.counter_add(metrics::RATE_TRANSITIONS, 1);
             self.journal.record(EventKind::RateTransition {
-                from: self.fill_rate,
-                to: rate,
+                from: previous,
+                to: fill.rate,
             });
         }
-        self.metrics.gauge_set(metrics::RATE_CURRENT, rate as f64);
-        self.fill_rate = rate;
-        self.fill_level = self.rate_schedule.new_buffer_level();
-        self.sampler.reset_with_rate(self.fill_rate);
-        self.filling = true;
+        self.metrics
+            .gauge_set(metrics::RATE_CURRENT, fill.rate as f64);
+        self.front.start(fill.rate);
     }
 
-    /// Take the completed fill out of the engine: a sorted fill is adopted
-    /// as-is, and any other fill is returned **unsorted** (`false` flag) so
-    /// the sort can be deferred to collapse time, where raw siblings are
-    /// sorted together in one pass.
-    fn take_filler(&mut self) -> (Vec<T>, bool) {
+    /// Account for the `count` representatives the front just appended.
+    fn sampled(&mut self, count: usize) {
+        self.stats.record_blocks(self.front.rate(), count as u64);
+        self.tap_recent(count);
+    }
+
+    /// Copy the fill's last `count` representatives into the sample tap,
+    /// if it is on.
+    fn tap_recent(&mut self, count: usize) {
+        if let Some(tap) = &mut self.sample_tap {
+            let filler = self.front.filler();
+            let rate = self.front.rate();
+            let recent = filler.iter().skip(filler.len().saturating_sub(count));
+            tap.extend(recent.map(|v| (v.clone(), rate)));
+        }
+    }
+
+    /// Take the completed fill out of the front, leaving `storage` as the
+    /// next fill's: a sorted fill is adopted as-is, and any other fill is
+    /// returned **unsorted** (`false` flag) so the sort can be deferred to
+    /// collapse time, where raw siblings are sorted together in one pass.
+    fn take_filler(&mut self, storage: Vec<T>, level: u32) -> (Vec<T>, bool) {
         let timer = self.metrics.timer(metrics::SEAL_NS);
         let seal_begin = self.journal.now_ns();
-        let data = std::mem::take(&mut self.filler);
+        let data = self.front.take_fill(storage);
         let sorted = data.is_sorted();
         // The event's run count only distinguishes one run from "at least
         // two": nothing counts the descents of a parked fill.
@@ -1041,7 +1030,7 @@ where
             self.journal.record_at(
                 end,
                 EventKind::BufferSeal {
-                    level: self.fill_level,
+                    level,
                     kernel,
                     k: data.len() as u64,
                     runs,
@@ -1052,46 +1041,45 @@ where
         (data, sorted)
     }
 
-    // panic-free: empty_slot() is Some — begin_fill reserved the slot this
-    // fill is completing into, and nothing between could occupy it.
+    /// Seal the full fill into the slot the tree puts it in.
+    // panic-free: complete_fill is Some — begin_fill opened the tree's fill
+    // and reserved its empty slot, which nothing between could occupy — and
+    // the tree's slot indexes the buffer table, which mirrors its slots.
     fn complete_fill(&mut self) {
-        debug_assert_eq!(self.filler.len(), self.config.buffer_size);
-        let (data, sorted) = self.take_filler();
-        let idx = self
-            .empty_slot()
+        debug_assert!(self.front.is_full());
+        let fill = self
+            .tree
+            .complete_fill()
             .expect("begin_fill reserved an empty slot");
+        let k = self.config.buffer_size;
         // Recycle the slot's retired allocation as the next fill's storage
         // instead of allocating a fresh vector per seal.
-        self.filler = self.buffers[idx].take_storage();
-        self.filler.reserve(self.config.buffer_size);
-        self.buffers[idx].populate_raw(
-            data,
-            self.fill_rate,
-            self.fill_level,
-            self.config.buffer_size,
-        );
+        let mut storage = self.buffers[fill.slot].take_storage();
+        storage.reserve(k);
+        let (data, sorted) = self.take_filler(storage, fill.level);
+        self.buffers[fill.slot].populate_raw(data, fill.rate, fill.level, k);
         if !sorted {
-            debug_assert!(!self.slot_is_unsorted(idx));
-            self.mark_unsorted(idx);
+            debug_assert!(!self.slot_is_unsorted(fill.slot));
+            self.mark_unsorted(fill.slot);
         }
-        if let Some(rec) = &mut self.recorder {
-            self.slot_nodes[idx] = Some(rec.add_leaf(self.fill_rate, self.fill_level));
-        }
-        self.stats.record_leaf(self.fill_level);
+        self.stats.record_leaf(fill.level);
         self.metrics
-            .counter_add(Key::labeled(metrics::LEAVES_BY_LEVEL, self.fill_level), 1);
+            .counter_add(Key::labeled(metrics::LEAVES_BY_LEVEL, fill.level), 1);
         if self.metrics.is_enabled() {
             self.publish_state_gauges();
         }
-        self.rate_schedule.observe_level(self.fill_level);
-        self.rate_schedule.observe_leaves(self.stats.leaves);
-        if self.rate_schedule.sampling_started() && self.stats.record_onset() {
+        self.note_onset();
+        #[cfg(feature = "invariant-audit")]
+        self.audit_invariants("seal");
+    }
+
+    /// Record the stream position of the sampling onset, the first time
+    /// the tree reports it.
+    fn note_onset(&mut self) {
+        if self.tree.sampling_started() && self.stats.record_onset() {
             self.metrics
                 .gauge_set(metrics::SAMPLING_ONSET_N, self.stats.elements as f64);
         }
-        self.filling = false;
-        #[cfg(feature = "invariant-audit")]
-        self.audit_invariants("seal");
     }
 
     /// Refresh the point-in-time gauges (buffer occupancy by level,
@@ -1124,45 +1112,25 @@ where
         self.metrics
             .gauge_set(metrics::ELEMENTS, self.stats.elements as f64);
         self.metrics
-            .gauge_set(metrics::SAMPLER_DRAWS, self.sampler.draws() as f64);
+            .gauge_set(metrics::SAMPLER_DRAWS, self.front.draws() as f64);
     }
 
-    // panic-free: promotion/collapse indices come from the policy, which
-    // only sees metas built from real slot indices via enumerate().
-    fn collapse_once(&mut self) {
-        let mut metas = std::mem::take(&mut self.scratch.meta);
-        metas.clear();
-        metas.extend(
-            self.buffers
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.state() == BufferState::Full)
-                .map(|(i, b)| b.meta(i)),
-        );
-        let mut decision = std::mem::take(&mut self.scratch.decision);
-        self.policy.choose_into(&metas, &mut decision);
-        self.scratch.meta = metas;
+    /// Carry out a collapse the tree decided: apply its promotions, then
+    /// select the output from the sources into the first source's slot.
+    // panic-free: the tree hands over ≥ 2 valid, distinct slot indices (it
+    // asserts the count; the policy picks them from its slot table, which
+    // the buffer table mirrors); the raw fast path's strided gather stays in
+    // bounds because its last index (first - 1)/w0 + (k - 1)·c < c·k =
+    // |concat| (and iterator adapters cannot overrun regardless).
+    // alloc: every path works inside the scratch arena, whose vectors keep
+    // their capacity across collapses.
+    fn perform_collapse(&mut self, decision: &CollapseDecision, step: CollapseStep) {
         for &(idx, level) in &decision.promotions {
             self.buffers[idx].promote(level);
         }
-        assert!(
-            decision.collapse.len() >= 2,
-            "policy must collapse >= 2 buffers"
-        );
-        self.perform_collapse(&decision.collapse, decision.output_level);
-        decision.clear();
-        self.scratch.decision = decision;
-    }
-
-    // panic-free: `slots` holds ≥ 2 valid, distinct buffer indices (asserted
-    // by collapse_once, constructed by collapse_all_full's enumerate); the
-    // raw fast path's strided gather stays in bounds because its last index
-    // (first - 1)/w0 + (k - 1)·c < c·k = |concat| (and iterator adapters
-    // cannot overrun regardless).
-    // alloc: recorder bookkeeping runs once per collapse (every k·2^level
-    // elements), amortised O(1) per element; everything else works inside
-    // the scratch arena.
-    fn perform_collapse(&mut self, slots: &[usize], output_level: u32) {
+        let slots = decision.collapse.as_slice();
+        let output_level = decision.output_level;
+        let CollapseStep { weight: w, high } = step;
         let collapse_timer = self.metrics.timer(metrics::COLLAPSE_NS);
         let collapse_begin = self.journal.now_ns();
         if let Some(begin) = collapse_begin {
@@ -1185,14 +1153,6 @@ where
                 );
             }
         }
-        let w: u64 = slots.iter().map(|&i| self.buffers[i].weight()).sum();
-        let high = if w.is_multiple_of(2) {
-            let phase = self.collapse_high_phase;
-            self.collapse_high_phase = !self.collapse_high_phase;
-            phase
-        } else {
-            false
-        };
         // Collapse targets always form the arithmetic progression
         // `first + j·w` (§3.2); every path below consumes the progression
         // parameters directly and never materialises a target vector.
@@ -1310,14 +1270,6 @@ where
                 select_merged_weighted_spaced(pairs, first, w, k, &mut new_data);
             }
         }
-        if let Some(rec) = &mut self.recorder {
-            let children: Vec<usize> = slots.iter().filter_map(|&i| self.slot_nodes[i]).collect();
-            let node = rec.add_collapse(w, output_level, children);
-            for &i in slots {
-                self.slot_nodes[i] = None;
-            }
-            self.slot_nodes[slots[0]] = Some(node);
-        }
         for &i in slots {
             self.buffers[i].clear();
         }
@@ -1361,12 +1313,35 @@ where
                 },
             );
         }
-        self.rate_schedule.observe_level(output_level);
-        if self.rate_schedule.sampling_started() && self.stats.record_onset() {
-            self.metrics
-                .gauge_set(metrics::SAMPLING_ONSET_N, self.stats.elements as f64);
-        }
+        self.note_onset();
         #[cfg(feature = "invariant-audit")]
         self.audit_invariants("collapse");
+    }
+}
+
+/// The engine as the batch-sampling loop's [`FillSink`]. A private
+/// wrapper, so the sink methods stay internal to the engine.
+struct Ingest<'a, T, P, R>(&'a mut Engine<T, P, R>);
+
+impl<T, P, R> FillSink<T> for Ingest<'_, T, P, R>
+where
+    T: Ord + Clone + 'static,
+    P: CollapsePolicy,
+    R: RateSchedule,
+{
+    fn front(&mut self) -> &mut FillFront<T> {
+        &mut self.0.front
+    }
+
+    fn begin_fill(&mut self) {
+        self.0.begin_fill();
+    }
+
+    fn sampled(&mut self, count: usize) {
+        self.0.sampled(count);
+    }
+
+    fn complete_fill(&mut self) {
+        self.0.complete_fill();
     }
 }

@@ -19,8 +19,13 @@
 //! * [`schedule`]: sampling-rate schedules — the MRL99 non-uniform schedule
 //!   (§3.7: rate doubles each time the tree grows past height `h`) and a
 //!   fixed-rate schedule for the known-`N` algorithms.
-//! * [`Engine`]: the streaming composition of all of the above, with exact
-//!   tree accounting ([`TreeStats`]) for the paper's Lemmas 4 and 5.
+//! * [`Tree`]: the data-free collapse control — slot metadata, allocation
+//!   thresholds, policy and schedule — stepped one allocation, collapse or
+//!   fill at a time.
+//! * [`FillFront`] and [`sample_batch`]: `New`'s block sampler and the one
+//!   loop that samples a stream slice into fills.
+//! * [`Engine`]: moves the data as its tree decides, with exact tree
+//!   accounting ([`TreeStats`]) for the paper's Lemmas 4 and 5.
 //!
 //! End-user algorithms (`UnknownN`, `KnownN`, extreme values, histograms)
 //! live in the `mrl-core` crate; this crate is the reusable machinery.
@@ -32,6 +37,7 @@ mod arena;
 mod buffer;
 pub mod cdf;
 pub mod engine;
+mod front;
 #[cfg(feature = "invariant-audit")]
 pub mod invariant;
 pub mod kernels;
@@ -49,6 +55,7 @@ pub use arena::ScratchArena;
 pub use buffer::{Buffer, BufferMeta, BufferState};
 pub use cdf::CdfPoint;
 pub use engine::{Engine, EngineConfig};
+pub use front::{sample_batch, FillFront, FillSink};
 #[cfg(feature = "invariant-audit")]
 pub use invariant::CertifiedSchedule;
 pub use kernels::{slice_min_max, slice_min_max_scalar};
@@ -67,5 +74,5 @@ pub use schedule::{FixedRate, LeafCountSchedule, Mrl99Schedule, RateSchedule};
 pub use snapshot::{BufferSnapshot, EngineSnapshot};
 pub use spine::QuerySpine;
 pub use stats::TreeStats;
-pub use tree::{TreeNode, TreeRecorder};
+pub use tree::{CollapseStep, Fill, Tree, TreeNode, TreeRecorder, TreeStep};
 pub use types::OrderedF64;

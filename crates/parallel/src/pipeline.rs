@@ -1,15 +1,25 @@
 //! Sharded multi-core ingestion: a fixed worker pool fed round-robin
-//! batches over bounded channels.
+//! slices of one stream, sampled before the channel.
 //!
 //! [`crate::parallel_quantiles`] implements §6's literal setting — one
 //! worker per pre-existing input sequence. [`ShardedSketch`] covers the
 //! complementary case: **one** logical stream whose ingestion should use
-//! several cores. The stream is cut into fixed-size batches and dealt
-//! round-robin to `P` shard workers; each shard runs the single-stream
+//! several cores. The stream is cut into fixed-size slices dealt
+//! round-robin to `P` shards; each shard runs the single-stream
 //! unknown-`N` algorithm on the subsequence it receives, and the final
 //! shipments are merged by the same [`Coordinator`] protocol. Because §6
 //! allows *any* partition of the input into per-processor sequences, the
 //! round-robin partition inherits the full `(ε, δ)` guarantee.
+//!
+//! `New` keeps one element per block of `r` (§3.1), and the rate of every
+//! fill is a function of `(b, h)` alone (see [`Tree`]). So the producer
+//! samples each slice in place, with the shard's own RNG and a data-free
+//! replica of the shard's tree, and sends the shard only its completed
+//! fills of `k` representatives, plus one end-of-stream tail. The shard's
+//! engine takes them in at its own tree's rates
+//! ([`UnknownN::insert_sampled`]) and ends up bit-for-bit where sampling
+//! the slices itself would have put it: the block sampler makes the only
+//! random draws, and both trees step alike.
 //!
 //! The channels are bounded ([`sync_channel`] with a small depth), so a
 //! producer that outruns the workers blocks instead of buffering the
@@ -23,19 +33,24 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use mrl_core::{OptimizerOptions, UnknownN, UnknownNConfig};
-use mrl_framework::{Buffer, TreeStats};
+use mrl_framework::{
+    sample_batch, AdaptiveLowestLevel, Buffer, CollapseDecision, FillFront, FillSink,
+    Mrl99Schedule, Tree, TreeStats,
+};
 use mrl_obs::{EventKind, JournalHandle, Key, MetricsHandle};
+use mrl_sampling::rng_from_seed;
 use serde::{Deserialize, Serialize};
 
 use crate::Coordinator;
 
-/// Metric keys the sharded pipeline emits (all on batch granularity —
-/// once per [`DEFAULT_SHARD_BATCH`] elements — so an attached recorder
-/// costs a few atomic ops per batch).
+/// Metric keys the sharded pipeline emits (on message granularity — one
+/// message per completed fill of `k` representatives, plus one
+/// end-of-stream tail per shard — so an attached recorder costs a few
+/// atomic ops per fill).
 pub mod metrics {
     use mrl_obs::Key;
 
-    /// Gauge, labelled by shard: batches currently in flight on that
+    /// Gauge, labelled by shard: messages currently in flight on that
     /// shard's bounded channel.
     pub const QUEUE_DEPTH: &str = "pipeline.queue.depth";
     /// Counter: dispatches that found the target queue full and had to
@@ -43,13 +58,15 @@ pub mod metrics {
     pub const DISPATCH_STALLS: Key = Key::new("pipeline.dispatch.stalls");
     /// Histogram: nanoseconds spent blocked per backpressure stall.
     pub const STALL_NS: Key = Key::new("pipeline.dispatch.stall_ns");
-    /// Counter, labelled by shard: batches ingested by that worker.
+    /// Counter, labelled by shard: messages (sampled fills and the
+    /// end-of-stream tail) that worker took in.
     pub const BATCHES: &str = "pipeline.shard.batches";
-    /// Histogram, labelled by shard: nanoseconds per ingested batch.
+    /// Histogram, labelled by shard: nanoseconds per message taken in.
     pub const BATCH_NS: &str = "pipeline.shard.batch_ns";
     /// Gauge, labelled by shard: elements that worker has consumed.
     pub const SHARD_ELEMENTS: &str = "pipeline.shard.elements";
-    /// Gauge: total elements dispatched by the producer.
+    /// Gauge: total stream elements the producer has sampled for the
+    /// shards.
     pub const DISPATCHED: Key = Key::new("pipeline.dispatched");
 }
 
@@ -87,18 +104,195 @@ impl From<ShardedError> for std::io::Error {
     }
 }
 
-/// Default elements per dispatched batch. Large enough that the channel
-/// and wakeup overhead amortises to well under a nanosecond per element;
-/// small enough that shards stay busy on modest streams.
+/// Default elements per round-robin slice: each shard samples one slice
+/// of this many consecutive stream elements before the next shard's turn.
+/// The producer samples slices in place; only completed fills cross the
+/// channel, so the slice sets the partition of the stream, not the unit of
+/// hand-off.
 pub const DEFAULT_SHARD_BATCH: usize = 4096;
 
-/// Bounded batches in flight per shard: enough to hide scheduling jitter,
-/// small enough that backpressure engages before memory does.
+/// Bounded messages in flight per shard: enough to hide scheduling
+/// jitter, small enough that backpressure engages before memory does. A
+/// message is one fill of at most `k` representatives, so a channel holds
+/// at most `QUEUE_DEPTH · k` elements.
 const QUEUE_DEPTH: usize = 4;
 
 /// What a worker thread returns when joined: elements ingested, the
 /// shard's exact tree accounting, and its surviving buffers.
 type ShardShipment<T> = (u64, TreeStats, Vec<Buffer<T>>);
+
+/// One hand-off to a shard worker: a completed fill of `k`
+/// representatives, or the shard's end-of-stream tail — the partial fill
+/// and the incomplete block as `(representative, elements seen)`.
+struct FillMessage<T> {
+    reps: Vec<T>,
+    pending: Option<(T, u64)>,
+}
+
+/// The seed of shard `i`'s sampler, on the producer and in its engine.
+fn shard_seed(seed: u64, i: usize) -> u64 {
+    seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// A shard's sampling state on the producer: the `New` front its engine
+/// would run, seeded alike, and a replica of its engine's tree, which
+/// gives every fill its rate.
+#[derive(Debug)]
+struct ShardFront<T> {
+    front: FillFront<T>,
+    tree: Tree<AdaptiveLowestLevel, Mrl99Schedule>,
+    decision: CollapseDecision,
+}
+
+impl<T> ShardFront<T> {
+    /// `None` for a configuration the shard's engine rejects (`b < 2`,
+    /// `k = 0`, `h = 0`): its worker panics on it, and the producer must
+    /// not.
+    fn new(config: &UnknownNConfig, seed: u64) -> Option<Self> {
+        if config.h == 0 {
+            return None;
+        }
+        let tree = Tree::new(config.b, AdaptiveLowestLevel, Mrl99Schedule::new(config.h))?;
+        let front = FillFront::new(config.k, tree.rate(), rng_from_seed(seed))?;
+        Some(Self {
+            front,
+            tree,
+            decision: CollapseDecision::default(),
+        })
+    }
+}
+
+/// The producer's end of every shard channel.
+#[derive(Debug)]
+struct Dispatch<T> {
+    senders: Vec<SyncSender<FillMessage<T>>>,
+    /// Messages in flight per shard channel (producer increments on send,
+    /// worker decrements on receive); feeds the queue-depth gauges.
+    queue_depths: Vec<Arc<AtomicU64>>,
+    /// Spent fill storage returned by the workers; the next fill takes
+    /// its storage from here, so the steady state recycles a fixed pool
+    /// of fill allocations instead of allocating one per fill.
+    recycle: Receiver<Vec<T>>,
+    /// First shard observed dead (its channel disconnected, i.e. its worker
+    /// panicked, or its tree could not be built). Once set, sampling and
+    /// dispatch stop and `finish` reports the error.
+    dead_shard: Option<usize>,
+    metrics: MetricsHandle,
+    journal: JournalHandle,
+}
+
+impl<T> Dispatch<T> {
+    /// Storage for the next fill: a spent fill a worker sent back, or a
+    /// fresh one while the pool warms up.
+    // alloc: a fresh vector only until the recycle pool warms up; after
+    // that every fill reuses storage a worker returned.
+    // nondet: which spent vector (or none) arrives here varies with worker
+    // timing, but every one comes back empty — only spare capacity
+    // differs, never the representatives sent.
+    fn spare(&self, k: usize) -> Vec<T> {
+        self.recycle
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(k))
+    }
+
+    /// Hand `message` to `shard`, blocking while that shard's queue is full
+    /// (the pipeline's backpressure). A disconnected channel means the
+    /// worker panicked: the shard is marked dead, further dispatch stops,
+    /// and [`ShardedSketch::finish`] reports the failure.
+    // panic-free: `shard` is a round-robin index reduced modulo
+    // senders.len(), and queue_depths has one slot per sender.
+    fn send(&mut self, shard: usize, message: FillMessage<T>) {
+        if self.dead_shard.is_some() {
+            // The run is already doomed; dropping the message keeps the
+            // producer non-blocking until the error surfaces at finish().
+            return;
+        }
+        // Count the message as in flight *before* the send: the worker's
+        // decrement is ordered after its receive, which is ordered after
+        // this send, so the counter never goes below zero.
+        // ordering: Relaxed suffices — the gauge is monitoring-only and the
+        // channel send/receive provides the producer→worker happens-before.
+        let depth = self.queue_depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
+        let delivered = if self.metrics.is_enabled() || self.journal.is_enabled() {
+            let len = message.reps.len() as u64 + u64::from(message.pending.is_some());
+            // Distinguish a clean hand-off from a backpressure stall: only
+            // the blocking fallback is timed, so the stall histogram
+            // measures time actually spent waiting on the slow consumer.
+            let delivered = match self.senders[shard].try_send(message) {
+                Ok(()) => true,
+                Err(TrySendError::Full(message)) => {
+                    self.metrics.counter_add(metrics::DISPATCH_STALLS, 1);
+                    let stall_begin = self.journal.now_ns();
+                    let timer = self.metrics.timer(metrics::STALL_NS);
+                    let sent = self.senders[shard].send(message).is_ok();
+                    timer.stop();
+                    if let Some(begin) = stall_begin {
+                        let end = self.journal.now_ns().unwrap_or(begin);
+                        self.journal.record_at(
+                            end,
+                            EventKind::ShardStall {
+                                shard: shard as u32,
+                                dur_ns: end.saturating_sub(begin),
+                            },
+                        );
+                    }
+                    sent
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            };
+            self.journal.record(EventKind::ShardDispatch {
+                shard: shard as u32,
+                len,
+                depth,
+            });
+            self.metrics.gauge_set(
+                Key::labeled(metrics::QUEUE_DEPTH, shard as u32),
+                depth as f64,
+            );
+            delivered
+        } else {
+            self.senders[shard].send(message).is_ok()
+        };
+        if !delivered {
+            self.dead_shard = Some(shard);
+        }
+    }
+}
+
+/// One shard's front as the batch-sampling loop's sink: each fill opens
+/// at the rate the tree replica gives it, and each full fill goes straight
+/// to the shard's channel.
+struct ShardSink<'a, T> {
+    shard: usize,
+    front: &'a mut ShardFront<T>,
+    dispatch: &'a mut Dispatch<T>,
+}
+
+impl<T: Clone> FillSink<T> for ShardSink<'_, T> {
+    fn front(&mut self) -> &mut FillFront<T> {
+        &mut self.front.front
+    }
+
+    fn begin_fill(&mut self) {
+        let fill = self.front.tree.begin_fill(&mut self.front.decision);
+        self.front.front.start(fill.rate);
+    }
+
+    fn sampled(&mut self, _count: usize) {}
+
+    fn complete_fill(&mut self) {
+        self.front.tree.complete_fill();
+        let storage = self.dispatch.spare(self.front.front.k());
+        let reps = self.front.front.take_fill(storage);
+        self.dispatch.send(
+            self.shard,
+            FillMessage {
+                reps,
+                pending: None,
+            },
+        );
+    }
+}
 
 /// A quantile sketch whose ingestion is sharded across a fixed pool of
 /// worker threads.
@@ -120,26 +314,22 @@ type ShardShipment<T> = (u64, TreeStats, Vec<Buffer<T>>);
 /// ```
 #[derive(Debug)]
 pub struct ShardedSketch<T> {
-    senders: Vec<SyncSender<Vec<T>>>,
+    dispatch: Dispatch<T>,
+    /// One sampling front per shard; empty when the configuration cannot
+    /// build one (shard 0 is then dead from the start).
+    fronts: Vec<ShardFront<T>>,
     handles: Vec<JoinHandle<ShardShipment<T>>>,
-    /// Spent batch buffers returned by the workers; `dispatch` drains this
-    /// for its replacement vector so the steady state recycles a fixed pool
-    /// of batch allocations instead of allocating one per dispatch.
-    recycle: Receiver<Vec<T>>,
-    /// Batches in flight per shard channel (producer increments on send,
-    /// worker decrements on receive); feeds the queue-depth gauges.
-    queue_depths: Vec<Arc<AtomicU64>>,
-    pending: Vec<T>,
+    /// The slice being gathered across calls; slices that lie whole inside
+    /// one `insert_batch` call are sampled in place and never staged, so
+    /// this grows only for callers whose calls cut slices.
+    staged: Vec<T>,
     next_shard: usize,
     batch: usize,
-    dispatched: u64,
-    /// First shard observed dead (its channel disconnected, i.e. its worker
-    /// panicked). Once set, dispatch stops and `finish` reports the error.
-    dead_shard: Option<usize>,
+    /// Elements dealt to the shards (sampled, or dropped after a shard
+    /// died).
+    dealt: u64,
     config: UnknownNConfig,
     seed: u64,
-    metrics: MetricsHandle,
-    journal: JournalHandle,
 }
 
 impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
@@ -205,7 +395,7 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
     /// As [`ShardedSketch::from_config`] with a metrics sink (see
     /// [`metrics`] for the emitted keys). The handle must be supplied at
     /// construction because the worker threads — which publish per-shard
-    /// batch latency and ingest counters — spawn here.
+    /// message latency and ingest counters — spawn here.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -220,11 +410,16 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
 
     /// As [`ShardedSketch::from_config_with_metrics`] with a flight
     /// recorder attached as well. Each worker names its journal ring
-    /// `shard[i]`, wraps every ingested batch in a `shard.batch` span, and
-    /// forwards the handle to its per-shard engine so seals and collapses
-    /// carry the shard's track. The producer side records
-    /// [`EventKind::ShardDispatch`] per hand-off and
-    /// [`EventKind::ShardStall`] when backpressure blocks it.
+    /// `shard[i]`, wraps every message it takes in in a `shard.batch` span,
+    /// and forwards the handle to its per-shard engine so seals and
+    /// collapses carry the shard's track. The producer side records
+    /// [`EventKind::ShardDispatch`] per message sent (`len` counts the
+    /// representatives it carries) and [`EventKind::ShardStall`] when
+    /// backpressure blocks it.
+    ///
+    /// A configuration the shard engines reject (`b < 2`, `k = 0`,
+    /// `h = 0`) does not panic here: every worker panics on it, and
+    /// [`ShardedSketch::finish`] reports [`ShardedError::WorkerPanicked`].
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -239,14 +434,14 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut queue_depths = Vec::with_capacity(shards);
-        // Unbounded return channel for spent batch buffers: workers send
-        // their emptied vectors back and `dispatch` reuses them, so at most
-        // `shards · (QUEUE_DEPTH + 1) + 1` batch allocations ever exist.
+        // Unbounded return channel for spent fill storage: workers send
+        // their emptied vectors back and the next fills reuse them, so at
+        // most `shards · (QUEUE_DEPTH + 2)` fill allocations ever exist.
         let (recycle_tx, recycle) = channel::<Vec<T>>();
         for i in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<T>>(QUEUE_DEPTH);
+            let (tx, rx) = sync_channel::<FillMessage<T>>(QUEUE_DEPTH);
             let config = config.clone();
-            let shard_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let shard_seed = shard_seed(seed, i);
             let depth = Arc::new(AtomicU64::new(0));
             let worker_depth = Arc::clone(&depth);
             let worker_metrics = metrics.clone();
@@ -258,24 +453,24 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
                 let mut sketch = UnknownN::from_config(config, shard_seed);
                 sketch.set_journal(worker_journal.clone());
                 // nondet: single-producer FIFO — this shard's channel is
-                // fed only by `dispatch`, so batches arrive in dispatch
-                // order no matter how workers are scheduled; the element
-                // sequence each shard ingests is timing-invariant.
-                while let Ok(mut batch) = rx.recv() {
+                // fed only by the producer's dispatch, so fills arrive in
+                // the order they were sampled no matter how workers are
+                // scheduled; the fills each shard takes in are
+                // timing-invariant.
+                while let Ok(FillMessage { mut reps, pending }) = rx.recv() {
                     // ordering: relaxed — monitoring gauge; the channel recv
                     // already ordered this after the producer's increment.
                     worker_depth.fetch_sub(1, Ordering::Relaxed);
                     let span = worker_journal.span("shard.batch");
                     let timer = worker_metrics.timer(Key::labeled(metrics::BATCH_NS, shard));
-                    sketch.insert_batch(&batch);
+                    sketch.insert_sampled(&mut reps, pending);
                     timer.stop();
                     span.end();
                     worker_metrics.counter_add(Key::labeled(metrics::BATCHES, shard), 1);
-                    // Clearing here keeps the element drops on the worker;
-                    // a closed return channel (producer gone) just drops
-                    // the buffer.
-                    batch.clear();
-                    let _ = worker_recycle.send(batch);
+                    // The engine left its spent fill storage in `reps`,
+                    // empty; a closed return channel (producer gone) just
+                    // drops it.
+                    let _ = worker_recycle.send(reps);
                 }
                 worker_metrics.gauge_set(
                     Key::labeled(metrics::SHARD_ELEMENTS, shard),
@@ -286,24 +481,36 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
             senders.push(tx);
             queue_depths.push(depth);
         }
+        // Every shard shares one configuration, so either every front
+        // builds or none does.
+        let fronts: Vec<ShardFront<T>> = (0..shards)
+            .map(|i| ShardFront::new(&config, shard_seed(seed, i)))
+            .collect::<Option<_>>()
+            .unwrap_or_default();
+        let dead_shard = fronts.is_empty().then_some(0);
         Self {
-            senders,
+            dispatch: Dispatch {
+                senders,
+                queue_depths,
+                recycle,
+                dead_shard,
+                metrics,
+                journal,
+            },
+            fronts,
             handles,
-            recycle,
-            queue_depths,
-            pending: Vec::with_capacity(DEFAULT_SHARD_BATCH),
+            staged: Vec::new(),
             next_shard: 0,
             batch: DEFAULT_SHARD_BATCH,
-            dispatched: 0,
-            dead_shard: None,
+            dealt: 0,
             config,
             seed,
-            metrics,
-            journal,
         }
     }
 
-    /// Override the dispatch batch size (before inserting data).
+    /// Override the slice size (before inserting data): the number of
+    /// consecutive elements each shard samples before the next shard's
+    /// turn.
     ///
     /// # Panics
     /// Panics if `batch == 0`.
@@ -317,12 +524,12 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
 
     /// Number of shard workers.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.dispatch.senders.len()
     }
 
-    /// Elements accepted so far (dispatched plus pending).
+    /// Elements accepted so far (dealt plus staged).
     pub fn n(&self) -> u64 {
-        self.dispatched + self.pending.len() as u64
+        self.dealt + self.staged.len() as u64
     }
 
     /// The certified per-shard configuration in use.
@@ -334,40 +541,43 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
     /// records into; disabled unless constructed via
     /// [`ShardedSketch::from_config_with_obs`].
     pub fn journal(&self) -> &JournalHandle {
-        &self.journal
+        &self.dispatch.journal
     }
 
-    /// Worst-case memory across the worker pool: `shards · b · k` elements
-    /// (the coordinator's own bound comes on top at [`ShardedSketch::finish`]).
+    /// Worst-case memory of the shard sketches: `shards · b · k` elements.
+    /// The pipeline holds at most `QUEUE_DEPTH + 1` fills of `k` per shard
+    /// on top (its channel, plus the producer's open fill), and one staged
+    /// slice; the coordinator's own bound comes on top at
+    /// [`ShardedSketch::finish`].
     pub fn memory_bound_elements(&self) -> usize {
         self.shards() * self.config.memory
     }
 
     /// Insert one element.
-    // alloc: pending carries `batch` capacity once the recycle pool has
-    // warmed up (dispatch swaps in a returned buffer), so the push reuses
-    // capacity.
     pub fn insert(&mut self, item: T) {
-        self.pending.push(item);
-        if self.pending.len() >= self.batch {
-            self.dispatch();
-        }
+        self.insert_batch(std::slice::from_ref(&item));
     }
 
-    /// Insert a slice of elements, dispatching every completed batch.
+    /// Insert a slice of elements. Every whole slice inside `items` is
+    /// sampled in place; only a slice that straddles calls is staged.
     pub fn insert_batch(&mut self, items: &[T]) {
         let mut rest = items;
-        loop {
-            let room = self.batch - self.pending.len();
+        if !self.staged.is_empty() {
+            let room = self.batch - self.staged.len();
             if rest.len() < room {
-                self.pending.extend_from_slice(rest);
+                self.staged.extend_from_slice(rest);
                 return;
             }
             let (now, later) = rest.split_at(room);
-            self.pending.extend_from_slice(now);
-            self.dispatch();
+            self.staged.extend_from_slice(now);
+            self.deal_staged();
             rest = later;
         }
+        let mut slices = rest.chunks_exact(self.batch);
+        for slice in slices.by_ref() {
+            self.deal(slice);
+        }
+        self.staged.extend_from_slice(slices.remainder());
     }
 
     /// Insert every element of an iterator.
@@ -377,84 +587,43 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         }
     }
 
-    /// Hand the pending batch to the next shard, blocking while that
-    /// shard's queue is full (the pipeline's backpressure). A disconnected
-    /// channel means the worker panicked: the shard is marked dead, further
-    /// dispatch stops, and [`ShardedSketch::finish`] reports the failure.
-    // panic-free: `shard` is next_shard, which is always reduced modulo
-    // senders.len(), and queue_depths has one slot per sender.
-    fn dispatch(&mut self) {
-        // Prefer a spent buffer a worker sent back; until the pool warms up
-        // (or if the workers are all gone) fall back to an empty vector that
-        // grows to `batch` capacity through the producer's pushes.
-        // nondet: which recycled buffer (or none) arrives here varies with
-        // worker timing, but every buffer was cleared before its return —
-        // only spare capacity differs, never the elements dispatched.
-        let replacement = self.recycle.try_recv().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.pending, replacement);
-        if self.dead_shard.is_some() {
-            // The run is already doomed; dropping the batch keeps the
+    /// Deal the staged slice, keeping its storage for the next one.
+    fn deal_staged(&mut self) {
+        let mut staged = std::mem::take(&mut self.staged);
+        self.deal(&staged);
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// Sample one slice into the next shard's front, which sends every
+    /// fill it completes to the shard.
+    fn deal(&mut self, slice: &[T]) {
+        let shard = self.next_shard;
+        self.next_shard = (shard + 1) % self.shards();
+        self.dealt += slice.len() as u64;
+        if self.dispatch.dead_shard.is_some() {
+            // The run is already doomed; dropping the slice keeps the
             // producer non-blocking until the error surfaces at finish().
             return;
         }
-        self.dispatched += batch.len() as u64;
-        let shard = self.next_shard;
-        // Count the batch as in flight *before* the send: the worker's
-        // decrement is ordered after its receive, which is ordered after
-        // this send, so the counter never goes below zero.
-        // ordering: Relaxed suffices — the gauge is monitoring-only and the
-        // channel send/receive provides the producer→worker happens-before.
-        let depth = self.queue_depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
-        let delivered = if self.metrics.is_enabled() || self.journal.is_enabled() {
-            let len = batch.len() as u64;
-            // Distinguish a clean hand-off from a backpressure stall: only
-            // the blocking fallback is timed, so the stall histogram
-            // measures time actually spent waiting on the slow consumer.
-            let delivered = match self.senders[shard].try_send(batch) {
-                Ok(()) => true,
-                Err(TrySendError::Full(batch)) => {
-                    self.metrics.counter_add(metrics::DISPATCH_STALLS, 1);
-                    let stall_begin = self.journal.now_ns();
-                    let timer = self.metrics.timer(metrics::STALL_NS);
-                    let sent = self.senders[shard].send(batch).is_ok();
-                    timer.stop();
-                    if let Some(begin) = stall_begin {
-                        let end = self.journal.now_ns().unwrap_or(begin);
-                        self.journal.record_at(
-                            end,
-                            EventKind::ShardStall {
-                                shard: shard as u32,
-                                dur_ns: end.saturating_sub(begin),
-                            },
-                        );
-                    }
-                    sent
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            };
-            self.journal.record(EventKind::ShardDispatch {
-                shard: shard as u32,
-                len,
-                depth,
-            });
-            self.metrics.gauge_set(
-                Key::labeled(metrics::QUEUE_DEPTH, shard as u32),
-                depth as f64,
+        if let Some(front) = self.fronts.get_mut(shard) {
+            sample_batch(
+                &mut ShardSink {
+                    shard,
+                    front,
+                    dispatch: &mut self.dispatch,
+                },
+                slice,
             );
-            self.metrics
-                .gauge_set(metrics::DISPATCHED, self.dispatched as f64);
-            delivered
-        } else {
-            self.senders[shard].send(batch).is_ok()
-        };
-        if !delivered {
-            self.dead_shard = Some(shard);
         }
-        self.next_shard = (shard + 1) % self.senders.len();
+        self.dispatch
+            .metrics
+            .gauge_set(metrics::DISPATCHED, self.dealt as f64);
     }
 
-    /// Drain the pipeline: flush the trailing partial batch, close every
-    /// channel, join the workers, and merge their shipments at a
+    /// Drain the pipeline: sample the trailing slice, send every shard its
+    /// end-of-stream tail (the open fill and the incomplete block), close
+    /// every channel, join the workers, and merge their shipments at a
     /// [`Coordinator`].
     ///
     /// # Errors
@@ -463,12 +632,19 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
     /// exists. Every surviving worker is still joined first, so the pool
     /// is fully torn down either way.
     pub fn finish(mut self) -> Result<ShardedOutcome<T>, ShardedError> {
-        if !self.pending.is_empty() {
-            self.dispatch();
+        if !self.staged.is_empty() {
+            self.deal_staged();
+        }
+        for (shard, sf) in self.fronts.iter_mut().enumerate() {
+            if sf.front.is_filling() {
+                let pending = sf.front.take_pending();
+                let reps = sf.front.take_fill(Vec::new());
+                self.dispatch.send(shard, FillMessage { reps, pending });
+            }
         }
         // Closing the channels ends each worker's receive loop.
-        self.senders.clear();
-        let mut dead_shard = self.dead_shard;
+        self.dispatch.senders.clear();
+        let mut dead_shard = self.dispatch.dead_shard;
         let mut per_shard = Vec::with_capacity(self.handles.len());
         let mut shipments: Vec<(u64, Vec<Buffer<T>>)> = Vec::with_capacity(self.handles.len());
         for (shard, h) in self.handles.drain(..).enumerate() {
@@ -494,7 +670,7 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
             self.seed ^ 0x00C0_FFEE,
             shipments,
         );
-        debug_assert_eq!(total_n, self.dispatched);
+        debug_assert_eq!(total_n, self.dealt);
         let telemetry = PipelineTelemetry::from_shards(total_n, per_shard);
         Ok(ShardedOutcome {
             coordinator,
@@ -600,6 +776,24 @@ mod tests {
         (0..n).map(|i| (i.wrapping_mul(2654435761)) % n).collect()
     }
 
+    /// Messages a finished pipeline sent: one per completed fill (a leaf
+    /// of its shard's tree), plus one end-of-stream tail per shard whose
+    /// stream ended inside a fill. A leaf at level `l` holds `k` blocks of
+    /// `2^l` elements.
+    fn messages(config: &UnknownNConfig, per_shard: &[TreeStats]) -> u64 {
+        per_shard
+            .iter()
+            .map(|st| {
+                let in_fills: u64 = st
+                    .leaves_by_level
+                    .iter()
+                    .map(|(&level, &count)| count * config.k as u64 * (1 << level))
+                    .sum();
+                st.leaves + u64::from(st.elements > in_fills)
+            })
+            .sum()
+    }
+
     #[test]
     fn sharded_matches_sequential_mass_accounting() {
         let data = uniform(200_000);
@@ -677,7 +871,7 @@ mod tests {
         let config =
             mrl_analysis::optimizer::optimize_unknown_n_with(0.05, 0.01, OptimizerOptions::fast());
         let mut s = ShardedSketch::<u64>::from_config_with_metrics(
-            config,
+            config.clone(),
             3,
             9,
             MetricsHandle::new(rec.clone()),
@@ -693,11 +887,12 @@ mod tests {
         assert_eq!(sum, t.merged.elements);
         assert_eq!(t.merged.elements, 120_000);
 
-        // Batch counters: every dispatched batch is accounted to a shard.
+        // Message counters: every fill and tail sent is accounted to the
+        // shard that took it in.
         let batches: u64 = (0..3)
             .map(|i| rec.counter_value(Key::labeled(metrics::BATCHES, i)))
             .sum();
-        assert_eq!(batches, 120_000_u64.div_ceil(DEFAULT_SHARD_BATCH as u64));
+        assert_eq!(batches, messages(&config, &t.per_shard));
         // Per-shard element gauges match the shipped accounting.
         for (i, st) in t.per_shard.iter().enumerate() {
             assert_eq!(
@@ -718,7 +913,7 @@ mod tests {
         let config =
             mrl_analysis::optimizer::optimize_unknown_n_with(0.05, 0.01, OptimizerOptions::fast());
         let mut s = ShardedSketch::<u64>::from_config_with_obs(
-            config,
+            config.clone(),
             2,
             9,
             MetricsHandle::disabled(),
@@ -733,11 +928,13 @@ mod tests {
         let dump = journal.drain();
         assert_eq!(dump.lost(), 0);
         let events = || dump.rings.iter().flat_map(|r| r.events.iter());
-        // Every completed batch hand-off is journalled by the producer.
+        // Every message is journalled by the producer: one per completed
+        // fill, plus each shard's end-of-stream tail.
+        let sent = messages(&config, &out.telemetry().per_shard) as usize;
         let dispatches = events()
             .filter(|e| matches!(e.kind, EventKind::ShardDispatch { .. }))
             .count();
-        assert_eq!(dispatches, 10_000_usize.div_ceil(64));
+        assert_eq!(dispatches, sent);
         // Both workers named their rings `shard[i]`.
         let mut shard_labels: Vec<u32> = dump
             .rings
@@ -748,9 +945,9 @@ mod tests {
             .collect();
         shard_labels.sort_unstable();
         assert_eq!(shard_labels, vec![0, 1]);
-        // Each received batch is wrapped in a balanced `shard.batch` span,
-        // and the per-shard engines journalled their seals through the
-        // forwarded handle.
+        // Each received message is wrapped in a balanced `shard.batch`
+        // span, and the per-shard engines journalled their seals through
+        // the forwarded handle.
         let begins = events()
             .filter(|e| matches!(e.kind, EventKind::SpanBegin { .. }))
             .count();
@@ -758,7 +955,7 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::SpanEnd { .. }))
             .count();
         assert_eq!(begins, ends);
-        assert_eq!(begins, 10_000_usize.div_ceil(64));
+        assert_eq!(begins, sent);
         assert!(events().any(|e| matches!(e.kind, EventKind::BufferSeal { .. })));
     }
 

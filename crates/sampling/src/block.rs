@@ -222,25 +222,33 @@ impl<T> BlockSampler<T> {
     /// # Panics
     /// Panics if `rate == 0` or the pending count is not below `rate`.
     pub fn with_pending(rate: u64, pending: Option<(T, u64)>) -> Self {
-        assert!(rate >= 1, "block sampling rate must be at least 1");
+        // Draw accounting restarts at zero after a snapshot restore; the
+        // counter describes this sampler instance, not the whole stream.
+        let mut sampler = Self::new(rate);
+        sampler.set_pending(pending);
+        sampler
+    }
+
+    /// Replace the current block's state: `pending` is its representative
+    /// and how many elements it has seen (`None`: no block is open). Used
+    /// to resume a block sampled elsewhere — a snapshot, or a producer
+    /// that sampled the stream ahead of its engine.
+    ///
+    /// # Panics
+    /// Panics if the pending count is not below `rate` or is zero.
+    pub fn set_pending(&mut self, pending: Option<(T, u64)>) {
         let (current, seen_in_block) = match pending {
             Some((repr, seen)) => {
                 assert!(
-                    seen >= 1 && seen < rate,
+                    seen >= 1 && seen < self.rate,
                     "pending count must lie in [1, rate)"
                 );
                 (Some(repr), seen)
             }
             None => (None, 0),
         };
-        // Draw accounting restarts at zero after a snapshot restore; the
-        // counter describes this sampler instance, not the whole stream.
-        Self {
-            rate,
-            seen_in_block,
-            current,
-            draws: 0,
-        }
+        self.current = current;
+        self.seen_in_block = seen_in_block;
     }
 
     /// Discard any partially accumulated block and change the block size.
