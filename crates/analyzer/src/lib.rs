@@ -6,7 +6,7 @@
 //! [`lexer`], enough of the item grammar to recover every function body,
 //! its enclosing impl type, module path, and test-ness. On top of that
 //! sit a workspace module map, a function-level call graph, per-function
-//! control-flow graphs ([`cfg`]), an interprocedural summary engine
+//! control-flow graphs ([`cfg`](mod@cfg)), an interprocedural summary engine
 //! ([`summary`]: SCC condensation + bottom-up fixpoint), and ten
 //! analyses:
 //!

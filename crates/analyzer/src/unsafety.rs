@@ -10,7 +10,7 @@
 //!    stating the discharged obligations, on the site line, the comment
 //!    block above it, or the enclosing item.
 //! 2. **Allowlist confinement** — the containing file must be on
-//!    [`UNSAFE_ALLOWLIST`]. Everything else is a finding, annotated with
+//!    `UNSAFE_ALLOWLIST`. Everything else is a finding, annotated with
 //!    the interprocedural context the summaries give us: the direct
 //!    workspace callers and whether a hot-path root reaches the site.
 //!

@@ -404,9 +404,9 @@ where
     /// but the filling/finished checks are hoisted out of the per-element
     /// loop and the block sampler consumes one random draw per **block**
     /// instead of one per element (at rate 1, none at all) — see
-    /// [`BlockSampler::offer_slice`]. The consumed random stream differs
-    /// from the per-element path, so a seeded run is reproducible only
-    /// against the same chunking of the input.
+    /// [`mrl_sampling::BlockSampler::offer_slice`]. The consumed random
+    /// stream differs from the per-element path, so a seeded run is
+    /// reproducible only against the same chunking of the input.
     ///
     /// # Panics
     /// Panics if called after [`Engine::finish`].
@@ -1139,7 +1139,7 @@ where
             // event on the same thread's ring. All sources share the
             // already-taken begin timestamp — provenance is identity, not
             // timing, and skipping the per-source clock read keeps the
-            // attached overhead inside the BENCH_obs.json bar.
+            // attached overhead low (the benchmark's `trace.overhead_pct`).
             for &i in slots {
                 let b = &self.buffers[i];
                 self.journal.record_at(

@@ -325,7 +325,7 @@ fn select_two_spaced_core<T: Ord + Clone>(
 /// [`std::hint::select_unpredictable`] (a 3-wide tournament mispredicts
 /// on random merges just like the 2-way case), then advances exactly one
 /// source. Once any source is exhausted the survivors continue on
-/// [`select_two_spaced_core`] from the walk's accumulated state.
+/// `select_two_spaced_core` from the walk's accumulated state.
 /// Requires `first ≥ 1` and `spacing ≥ wa.max(wb).max(wc)` (collapse
 /// targets qualify: spacing `w = Σwᵢ` > each `wᵢ`).
 // panic-free: out is resized to count + 1 up front and ti advances at

@@ -128,23 +128,22 @@ impl<T> Default for RadixScratch<T> {
     }
 }
 
-/// Minimum slice length at which the radix kernel beats `sort_unstable`,
-/// pinned by the `radix_crossover` bench group
-/// (`crates/bench/benches/collapse.rs`). The window is narrower than the
-/// asymptotic O(n) vs O(n log n) story suggests: below ~1K elements the
-/// fixed per-pass overhead (histogram zeroing, the priming pass) loses to
-/// pdqsort's branchless partitioning, and the gap only closes once the
-/// log-factor passes pdqsort pays catch up. Measured on the CI host
-/// (single core, 40-bit uniform u64): n=256 radix ≈ 1.4× slower, n=1280
-/// radix ≈ 1.1–1.2× faster, n=4096 ≈ tie. A single-buffer seal
-/// (`k = 256` in the shipped configuration) therefore stays on
+/// Minimum slice length at which the radix kernel beats `sort_unstable`
+/// (crossover measurements in DESIGN.md §3.13). The window is narrower
+/// than the asymptotic O(n) vs O(n log n) story suggests: below ~1K
+/// elements the fixed per-pass overhead (histogram zeroing, the priming
+/// pass) loses to pdqsort's branchless partitioning, and the gap only
+/// closes once the log-factor passes pdqsort pays catch up. Measured on
+/// the CI host (single core, 40-bit uniform u64): n=256 radix ≈ 1.4×
+/// slower, n=1280 radix ≈ 1.1–1.2× faster, n=4096 ≈ tie. A single-buffer
+/// seal (`k = 256` in the shipped configuration) therefore stays on
 /// `sort_unstable`; the equal-weight concat collapse (`c·k ≈ 1280`) and
 /// larger mixed collapses take the radix path.
 ///
 /// The MSD bucket path (below) moved the lower crossover back down:
 /// measured on the CI host, one bucket scatter plus insertion repair
 /// beats `sort_unstable` from n≈64 (n=256: ~5 vs ~9 ns/elem) up to
-/// [`BUCKET_MAX_LEN`], above which the LSD passes take over.
+/// `BUCKET_MAX_LEN` (2048), above which the LSD passes take over.
 pub const RADIX_MIN_LEN: usize = 64;
 
 /// Maximum slice length routed to the radix kernel. Above ~8K elements
@@ -175,12 +174,13 @@ const BUCKET_MAX_COUNT: u32 = 64;
 ///
 /// One priming pass computes the bitwise OR and AND of every key, which
 /// identifies the bit columns that actually vary. Slices up to
-/// [`BUCKET_MAX_LEN`] then try the MSD bucket path: one scatter by the
-/// 8-bit digit anchored at the highest varying bit (everything above it
-/// is constant, so that digit alone orders the buckets), followed by an
+/// `BUCKET_MAX_LEN` (2048) then try the MSD bucket path: one scatter by
+/// the 8-bit digit anchored at the highest varying bit (everything above
+/// it is constant, so that digit alone orders the buckets), followed by an
 /// insertion repair whose cost is exactly the surviving within-bucket
 /// inversions — near-linear when keys spread across the buckets, which
-/// the [`BUCKET_MAX_COUNT`] guard enforces before committing.
+/// the `BUCKET_MAX_COUNT` guard (64 keys per bucket) enforces before
+/// committing.
 ///
 /// Longer or guard-rejected slices fall back to LSD radix over 8-bit
 /// digits: each varying byte column costs one counting-scatter pass

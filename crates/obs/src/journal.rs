@@ -411,7 +411,7 @@ pub struct JournalDump {
     /// Per-ring dumps, in ring-index order; unclaimed rings are absent.
     pub rings: Vec<RingDump>,
     /// Events discarded because every ring was claimed by other
-    /// threads (more than [`RINGS`] concurrent recording threads).
+    /// threads (more than `RINGS` (32) concurrent recording threads).
     pub unclaimed_dropped: u64,
 }
 
@@ -479,7 +479,7 @@ fn thread_fingerprint() -> u64 {
 
 impl EventJournal {
     /// A journal with the default per-thread capacity
-    /// ([`DEFAULT_CAPACITY`] events; shrunk under `cfg(loom)`).
+    /// (`DEFAULT_CAPACITY`, 4096 events; shrunk under `cfg(loom)`).
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
@@ -575,7 +575,7 @@ impl EventJournal {
         self.names.get(idx)?.name.get().copied()
     }
 
-    /// Events discarded because more than [`RINGS`] threads recorded
+    /// Events discarded because more than `RINGS` (32) threads recorded
     /// concurrently.
     pub fn unclaimed_dropped(&self) -> u64 {
         // ordering: relaxed — independent loss counter

@@ -29,9 +29,7 @@
 //! The paper connection: the engine already maintains the §4 quantities
 //! (`W`, `C`, `Σnᵢ²`, sampling onset) exactly; this crate is the transport
 //! that surfaces them — and the derived live ε-audit — while the stream is
-//! still running. With the optional `tracing` feature, every metric update
-//! is mirrored as a `tracing` event for users who already run a
-//! subscriber.
+//! still running.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -45,8 +43,6 @@ mod snapshot;
 mod span;
 pub(crate) mod sync;
 mod timer;
-#[cfg(feature = "tracing")]
-mod tracing_support;
 
 pub use export::install_panic_hook;
 pub use journal::{
@@ -54,9 +50,7 @@ pub use journal::{
 };
 pub use key::Key;
 pub use memory::InMemoryRecorder;
-pub use recorder::{MetricsHandle, NoopRecorder, Recorder};
+pub use recorder::{MetricsHandle, Recorder};
 pub use snapshot::{HistogramSummary, MetricsSnapshot};
 pub use span::ScopedSpan;
 pub use timer::ScopedTimer;
-#[cfg(feature = "tracing")]
-pub use tracing_support::TracingRecorder;

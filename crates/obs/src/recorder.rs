@@ -1,5 +1,5 @@
-//! The recorder trait, the no-op default, and the cheap shared handle the
-//! instrumented crates hold.
+//! The recorder trait and the cheap shared handle the instrumented crates
+//! hold (disabled by default).
 
 use std::fmt;
 use std::sync::Arc;
@@ -28,24 +28,6 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     fn histogram_record(&self, key: Key, value: u64);
 }
 
-/// A recorder that discards everything.
-///
-/// Useful for measuring the dispatch cost of an *attached* recorder in
-/// isolation (see `BENCH_obs.json`); a fully *disabled* handle
-/// ([`MetricsHandle::disabled`]) is cheaper still because no virtual call
-/// is made at all.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn counter_add(&self, _key: Key, _delta: u64) {}
-    #[inline]
-    fn gauge_set(&self, _key: Key, _value: f64) {}
-    #[inline]
-    fn histogram_record(&self, _key: Key, _value: u64) {}
-}
-
 /// The handle instrumented code holds: either disabled (`None`, the
 /// default — every call is one predictable branch) or a shared reference
 /// to a live [`Recorder`].
@@ -68,13 +50,6 @@ impl MetricsHandle {
         Self {
             inner: Some(recorder),
         }
-    }
-
-    /// A handle that dispatches into [`NoopRecorder`] — enabled as far as
-    /// the instrumentation is concerned, but discarding every update.
-    /// Exists to measure dispatch overhead (`BENCH_obs.json` A/B).
-    pub fn noop() -> Self {
-        Self::new(Arc::new(NoopRecorder))
     }
 
     /// True when a recorder is attached.
@@ -127,12 +102,5 @@ mod tests {
         h.gauge_set(Key::new("g"), 1.0);
         h.histogram_record(Key::new("h"), 1);
         drop(h.timer(Key::new("t")));
-    }
-
-    #[test]
-    fn noop_handle_is_enabled_but_silent() {
-        let h = MetricsHandle::noop();
-        assert!(h.is_enabled());
-        h.counter_add(Key::new("c"), 1);
     }
 }
