@@ -52,11 +52,14 @@ pub struct ScratchArena<T> {
     /// Radix-seal ping-pong buffer (`radix::sort_fixed`), used by every
     /// seal and raw-collapse sort when the element type is fixed-width.
     pub(crate) radix: RadixScratch<T>,
-    /// The epoch-cached query spine. `RefCell` because queries take
-    /// `&self` (Output never mutates sketch state, §3.7) but the first
-    /// query after an ingest epoch bump materialises the merged view
-    /// here; a stale spine is never *wrong*, only rebuilt — dropping the
-    /// arena still costs only re-reservations plus one rebuild.
+    /// The epoch-cached query spine: the sealed part (every buffer's
+    /// pairs, sorted and coalesced, kept while the buffer generation
+    /// holds), the fill's sorted copy, and the merged view queries search.
+    /// `RefCell` because queries take `&self` (Output never mutates sketch
+    /// state, §3.7) but the first query after an ingest epoch bump
+    /// refreshes the merged view here; a stale spine is never *wrong*,
+    /// only rebuilt — dropping the arena still costs only re-reservations
+    /// plus one rebuild of both parts.
     pub(crate) spine: RefCell<QuerySpine<T>>,
 }
 

@@ -120,8 +120,7 @@ where
         out
     }
 
-    /// Visit every (element, weight) pair `Output` would consult (also
-    /// the feed for the query spine's rebuild in `engine.rs`).
+    /// Visit every (element, weight) pair `Output` would consult.
     pub(crate) fn for_each_weighted<F: FnMut(&T, u64)>(&self, mut f: F) {
         for b in self.raw_buffers() {
             if b.state() != BufferState::Empty {

@@ -150,6 +150,11 @@ pub struct Engine<T, P, R> {
     /// restore). The cached query spine records the epoch it was built
     /// at; a mismatch marks it stale.
     epoch: u64,
+    /// Buffer generation: incremented wherever buffer contents change (a
+    /// seal, a collapse, `finish`, a snapshot restore). The spine's sealed
+    /// part records the generation it was built at; while it holds, a
+    /// fresh query merges only the fill into that part.
+    generation: u64,
     /// Serve `query`/`query_many`/`rank_of`/`cdf` from the epoch-cached
     /// spine (the default). Disabled, every query re-runs the direct
     /// weighted merge — kept for differential testing of the cache.
@@ -209,6 +214,7 @@ where
             sample_tap: None,
             finished: false,
             epoch: 0,
+            generation: 0,
             query_cache: true,
             #[cfg(feature = "invariant-audit")]
             certified: None,
@@ -305,7 +311,13 @@ where
         self.epoch = self.epoch.wrapping_add(1);
     }
 
-    /// Run `f` over the current query spine, rebuilding it first if the
+    /// Mark buffer contents as changed, so the next fresh query rebuilds
+    /// the spine's sealed part. Wrapping, like [`Engine::bump_epoch`].
+    fn bump_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// Run `f` over the current query spine, refreshing it first if the
     /// ingest epoch moved since it was last materialised. `None` when the
     /// cache is disabled (callers then take the direct merge path).
     pub(crate) fn with_current_spine<U>(&self, f: impl FnOnce(&QuerySpine<T>) -> U) -> Option<U> {
@@ -314,23 +326,44 @@ where
         }
         let mut spine = self.scratch.spine.borrow_mut();
         if !spine.is_current(self.epoch) {
-            let rebuild_begin = self.journal.now_ns();
-            spine.rebuild(self.epoch, |pairs| {
-                self.for_each_weighted(|v, w| pairs.push((v.clone(), w)));
-            });
-            if let Some(begin) = rebuild_begin {
-                let end = self.journal.now_ns().unwrap_or(begin);
-                self.journal.record_at(
-                    end,
-                    EventKind::SpineRebuild {
-                        epoch: self.epoch,
-                        pairs: spine.len() as u64,
-                        dur_ns: end.saturating_sub(begin),
-                    },
-                );
-            }
+            self.refresh_spine(&mut spine);
         }
         Some(f(&spine))
+    }
+
+    /// Refresh `spine` to the current epoch — the sealed part only if the
+    /// buffer generation moved too, the fill always — and journal one
+    /// `SpineRebuild`. Out of line, so that every cached query's
+    /// `with_current_spine` keeps only the currency check.
+    #[inline(never)]
+    fn refresh_spine(&self, spine: &mut QuerySpine<T>) {
+        let rebuild_begin = self.journal.now_ns();
+        let sealed = self
+            .buffers
+            .iter()
+            .filter(|b| b.state() != BufferState::Empty)
+            .map(|b| (b.data(), b.weight()));
+        spine.refresh(
+            self.epoch,
+            self.generation,
+            sealed,
+            self.front.filler(),
+            self.front.rate(),
+            self.front.pending(),
+        );
+        #[cfg(feature = "invariant-audit")]
+        self.audit_spine(spine);
+        if let Some(begin) = rebuild_begin {
+            let end = self.journal.now_ns().unwrap_or(begin);
+            self.journal.record_at(
+                end,
+                EventKind::SpineRebuild {
+                    epoch: self.epoch,
+                    pairs: spine.len() as u64,
+                    dur_ns: end.saturating_sub(begin),
+                },
+            );
+        }
     }
 
     /// The data-free tree this engine moves its data by.
@@ -489,6 +522,7 @@ where
             return;
         }
         self.bump_epoch();
+        self.bump_generation();
         if self.front.is_filling() {
             if let Some(seen) = self.front.close() {
                 // The trailing incomplete block still contributes its
@@ -814,6 +848,7 @@ where
         self.stats = stats;
         self.finished = finished;
         self.bump_epoch();
+        self.bump_generation();
     }
 
     // ---- invariant auditor (feature "invariant-audit") -------------------
@@ -953,6 +988,35 @@ where
         }
     }
 
+    /// Assert that a freshly refreshed spine holds exactly the mass
+    /// `Output` sees, and that its sealed part holds exactly the buffers'
+    /// mass: a sealed part reused across a missed generation bump fails
+    /// here.
+    ///
+    /// # Panics
+    /// Panics on either mismatch.
+    #[cfg(feature = "invariant-audit")]
+    fn audit_spine(&self, spine: &QuerySpine<T>) {
+        let buffered = self
+            .buffers
+            .iter()
+            .filter(|b| b.state() != BufferState::Empty)
+            .map(Buffer::mass)
+            .fold(0u64, u64::saturating_add);
+        assert_eq!(
+            spine.sealed_mass(),
+            buffered,
+            "[spine] sealed part mass differs from the buffers' (generation {})",
+            self.generation
+        );
+        assert_eq!(
+            spine.total(),
+            self.output_mass(),
+            "[spine] spine mass differs from the output mass (epoch {})",
+            self.epoch
+        );
+    }
+
     // ---- internals ------------------------------------------------------
 
     /// Open the next fill: carry out the tree's allocations and collapses
@@ -1051,6 +1115,7 @@ where
             .tree
             .complete_fill()
             .expect("begin_fill reserved an empty slot");
+        self.bump_generation();
         let k = self.config.buffer_size;
         // Recycle the slot's retired allocation as the next fill's storage
         // instead of allocating a fresh vector per seal.
@@ -1125,6 +1190,7 @@ where
     // alloc: every path works inside the scratch arena, whose vectors keep
     // their capacity across collapses.
     fn perform_collapse(&mut self, decision: &CollapseDecision, step: CollapseStep) {
+        self.bump_generation();
         for &(idx, level) in &decision.promotions {
             self.buffers[idx].promote(level);
         }

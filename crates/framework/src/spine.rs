@@ -1,5 +1,6 @@
-//! The epoch-cached query spine: one merged weighted view serving many
-//! queries.
+//! The query spine: one merged weighted view serving many queries, kept
+//! as a sealed part that survives fills and a tail merged in per fresh
+//! query.
 //!
 //! `Output` "does not destroy or modify the state \[and\] can be invoked
 //! as many times as required" (§3.7) — but every prior revision of the
@@ -19,31 +20,53 @@
 //! the values ([`QuerySpine::rank`]) — `O(log(bk))` against the previous
 //! `O(bk log bk)`.
 //!
-//! Invalidation is by **epoch**: the engine increments a counter on
+//! The spine is built in two parts by one builder,
+//! [`QuerySpine::refresh`], which every spine owner calls:
+//!
+//! * the **sealed part**: the pairs of every non-empty buffer, sorted and
+//!   coalesced into `(value, cumulative weight)`. It is tagged with the
+//!   owner's buffer *generation*, which changes only when buffer contents
+//!   do (a seal, a collapse, `finish`, a restore), and is reused as long
+//!   as the generation holds. Between two seals at sampling rate `r`,
+//!   `k·r` elements arrive, so many fresh queries share one sealed part.
+//! * the **tail**: the fill in progress (at most `k` values of one
+//!   weight, copied and sorted per fresh query) and the pending block's
+//!   representative. One linear pass merges both into the sealed part,
+//!   writing the `values`/`cum` arrays queries search.
+//!
+//! Invalidation is by **epoch**: the owner increments a counter on
 //! every mutation (insert, batch insert, collapse, finish, snapshot
 //! restore), and the spine records the epoch it was built at. A spine
-//! whose epoch does not match the engine's is stale and is rebuilt on
+//! whose epoch does not match the owner's is stale and is refreshed on
 //! the next query; nothing is eagerly recomputed during ingest, so
 //! write-heavy workloads pay one untaken branch per insert and
-//! query-heavy workloads amortise one rebuild across an unbounded run of
+//! query-heavy workloads amortise one refresh across an unbounded run of
 //! reads. The spine lives in the engine's scratch arena and retains its
-//! buffers across rebuilds, so steady-state operation allocates nothing.
+//! vectors across refreshes, so steady-state operation allocates nothing.
+
+use crate::radix::{try_sort_fixed, RadixScratch};
 
 /// A merged, weight-cumulated snapshot of a sketch's queryable contents,
 /// tagged with the ingest epoch it was built from.
 ///
-/// `values` is strictly ascending under `Ord` (ties are coalesced during
-/// the rebuild, their weights summed) and `cum[i]` is the total weight
-/// of `values[..=i]` — so the element at 1-indexed weighted position `t`
-/// is `values[partition_point(cum < t)]`, exactly the element the
-/// engine's weighted-merge selection would return.
+/// `values` is strictly ascending under `Ord` (ties are coalesced, their
+/// weights summed) and `cum[i]` is the total weight of `values[..=i]` —
+/// so the element at 1-indexed weighted position `t` is
+/// `values[partition_point(cum < t)]`, exactly the element the engine's
+/// weighted-merge selection would return.
 #[derive(Clone, Debug)]
 pub struct QuerySpine<T> {
     values: Vec<T>,
     cum: Vec<u64>,
-    /// Rebuild staging: the raw `(value, weight)` pairs before sorting
-    /// and coalescing. Retained for its capacity.
-    pairs: Vec<(T, u64)>,
+    /// The sealed part: every buffer's pairs, sorted ascending with ties
+    /// coalesced, as `(value, cumulative weight)`.
+    sealed: Vec<(T, u64)>,
+    /// Buffer generation the sealed part was built at.
+    sealed_generation: u64,
+    sealed_current: bool,
+    /// The tail's sorted copy of the fill, and its radix scratch.
+    tail: Vec<T>,
+    tail_radix: RadixScratch<T>,
     built_epoch: u64,
     valid: bool,
 }
@@ -55,7 +78,11 @@ impl<T> Default for QuerySpine<T> {
         Self {
             values: Vec::new(),
             cum: Vec::new(),
-            pairs: Vec::new(),
+            sealed: Vec::new(),
+            sealed_generation: 0,
+            sealed_current: false,
+            tail: Vec::new(),
+            tail_radix: RadixScratch::default(),
             built_epoch: 0,
             valid: false,
         }
@@ -64,49 +91,127 @@ impl<T> Default for QuerySpine<T> {
 
 impl<T: Ord + Clone> QuerySpine<T> {
     /// True when the spine was built at `epoch` and can serve queries
-    /// without a rebuild.
+    /// without a refresh.
     pub fn is_current(&self, epoch: u64) -> bool {
         self.valid && self.built_epoch == epoch
     }
 
-    /// Drop the cached state (the next query rebuilds). Buffers keep
-    /// their capacity.
+    /// Drop both parts (the next query rebuilds the sealed part too).
+    /// Vectors keep their capacity.
     pub fn invalidate(&mut self) {
         self.valid = false;
+        self.sealed_current = false;
     }
 
-    /// Rebuild the spine at `epoch` from the `(value, weight)` pairs
-    /// `fill` appends to the staging buffer. Sorts the pairs, coalesces
-    /// `Ord`-equal values (summing their weights, saturating) and
-    /// rewrites the value/cumulative arrays in place.
-    pub fn rebuild(&mut self, epoch: u64, fill: impl FnOnce(&mut Vec<(T, u64)>)) {
-        self.pairs.clear();
-        fill(&mut self.pairs);
-        self.pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.values.clear();
-        self.cum.clear();
-        let mut running: u64 = 0;
-        for (v, w) in self.pairs.drain(..) {
-            // Saturating: Σ weights is the stream mass, which weight
-            // conservation keeps ≤ the stream length; clamp rather than
-            // wrap if state is ever corrupted.
-            running = running.saturating_add(w);
-            if self.values.last() == Some(&v) {
-                if let Some(c) = self.cum.last_mut() {
-                    *c = running;
-                }
-            } else {
-                self.values.push(v);
-                self.cum.push(running);
-            }
+    /// Refresh the spine at `epoch`: the one spine builder.
+    ///
+    /// `sealed` lists each non-empty buffer as `(data, weight)`; its data
+    /// need not be sorted. It is read only when `generation` differs from
+    /// the sealed part's, and then sorted and coalesced into a new sealed
+    /// part. `tail` (any order, every value at `tail_weight`) and the
+    /// `pending` block `(representative, weight)` are merged into the
+    /// sealed part on every call. `Ord`-equal values coalesce, their
+    /// weights summed (saturating).
+    pub fn refresh<'a, I>(
+        &mut self,
+        epoch: u64,
+        generation: u64,
+        sealed: I,
+        tail: &[T],
+        tail_weight: u64,
+        pending: Option<(&T, u64)>,
+    ) where
+        I: IntoIterator<Item = (&'a [T], u64)>,
+        I::IntoIter: Clone,
+        T: 'static,
+    {
+        // Each part is marked stale before it is rebuilt, so a panicking
+        // `Ord` cannot leave a half-built part marked current.
+        self.valid = false;
+        if !self.sealed_current || self.sealed_generation != generation {
+            self.rebuild_sealed(generation, sealed.into_iter());
         }
+        self.tail.clear();
+        self.tail.extend_from_slice(tail);
+        if !self.tail.is_sorted() && !try_sort_fixed(&mut self.tail, &mut self.tail_radix) {
+            self.tail.sort_unstable();
+        }
+        self.merge_tail(tail_weight, pending);
         self.built_epoch = epoch;
         self.valid = true;
+    }
+
+    /// Sort and coalesce every buffer's pairs into the sealed part.
+    fn rebuild_sealed<'a, I>(&mut self, generation: u64, sources: I)
+    where
+        I: Iterator<Item = (&'a [T], u64)> + Clone,
+        T: 'a,
+    {
+        self.sealed_current = false;
+        self.sealed.clear();
+        let count = sources.clone().map(|(data, _)| data.len()).sum();
+        self.sealed.reserve_exact(count);
+        for (data, w) in sources {
+            self.sealed.extend(data.iter().map(|v| (v.clone(), w)));
+        }
+        self.sealed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.sealed.dedup_by(|next, kept| {
+            let tie = next.0 == kept.0;
+            if tie {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            tie
+        });
+        // Saturating: Σ weights is the stream mass, which weight
+        // conservation keeps ≤ the stream length; clamp rather than wrap
+        // if state is ever corrupted.
+        let mut running: u64 = 0;
+        for pair in &mut self.sealed {
+            running = running.saturating_add(pair.1);
+            pair.1 = running;
+        }
+        self.sealed_generation = generation;
+        self.sealed_current = true;
+    }
+
+    /// Merge the sorted tail and the pending block into the sealed part,
+    /// rewriting `values`/`cum` in one linear pass.
+    fn merge_tail(&mut self, tail_weight: u64, pending: Option<(&T, u64)>) {
+        self.values.clear();
+        self.cum.clear();
+        let bound = self.sealed.len() + self.tail.len() + usize::from(pending.is_some());
+        self.values.reserve_exact(bound);
+        self.cum.reserve_exact(bound);
+        let mut merge = Merge {
+            sealed: &self.sealed,
+            sealed_cum: 0,
+            tail_cum: 0,
+            values: &mut self.values,
+            cum: &mut self.cum,
+        };
+        let mut pending = pending;
+        for v in &self.tail {
+            if let Some((p, seen)) = pending.take_if(|(p, _)| *p < v) {
+                merge.absorb(p, seen);
+            }
+            merge.absorb(v, tail_weight);
+        }
+        if let Some((p, seen)) = pending {
+            merge.absorb(p, seen);
+        }
+        merge.finish();
     }
 
     /// Total weighted mass of the spine (0 when empty).
     pub fn total(&self) -> u64 {
         self.cum.last().copied().unwrap_or(0)
+    }
+
+    /// Total weighted mass of the sealed part (0 when empty): what the
+    /// invariant auditor checks against the buffers' mass.
+    #[cfg(any(test, feature = "invariant-audit"))]
+    pub(crate) fn sealed_mass(&self) -> u64 {
+        self.sealed.last().map_or(0, |pair| pair.1)
     }
 
     /// Number of distinct stored values.
@@ -149,13 +254,118 @@ impl<T: Ord + Clone> QuerySpine<T> {
     }
 }
 
+/// The state of one tail merge: tail values arrive in ascending order,
+/// and each first flushes the sealed pairs at or below it.
+struct Merge<'a, T> {
+    /// The sealed pairs not yet emitted.
+    sealed: &'a [(T, u64)],
+    /// Cumulative weight of the sealed pairs emitted so far.
+    sealed_cum: u64,
+    /// Weight of the tail values absorbed so far.
+    tail_cum: u64,
+    values: &'a mut Vec<T>,
+    cum: &'a mut Vec<u64>,
+}
+
+impl<T: Ord + Clone> Merge<'_, T> {
+    /// Emit the sealed pairs at or below `v`, then `v` at weight `w`,
+    /// coalesced into the last value when they are `Ord`-equal. A sealed
+    /// value never ties with an earlier tail value: that tail value
+    /// flushed every sealed value at or below it.
+    fn absorb(&mut self, v: &T, w: u64) {
+        let run = self.sealed.iter().take_while(|(s, _)| s <= v).count();
+        self.emit_sealed(run);
+        self.tail_cum = self.tail_cum.saturating_add(w);
+        let running = self.sealed_cum.saturating_add(self.tail_cum);
+        match (self.values.last(), self.cum.last_mut()) {
+            (Some(last), Some(c)) if last == v => *c = running,
+            _ => {
+                self.values.push(v.clone());
+                self.cum.push(running);
+            }
+        }
+    }
+
+    /// Emit the next `run` sealed pairs, shifted by the tail weight
+    /// absorbed so far.
+    fn emit_sealed(&mut self, run: usize) {
+        let (head, rest) = self
+            .sealed
+            .split_at_checked(run)
+            .unwrap_or((self.sealed, &[]));
+        self.values.extend(head.iter().map(|(s, _)| s.clone()));
+        let tail_cum = self.tail_cum;
+        self.cum
+            .extend(head.iter().map(|(_, c)| c.saturating_add(tail_cum)));
+        if let Some((_, c)) = head.last() {
+            self.sealed_cum = *c;
+        }
+        self.sealed = rest;
+    }
+
+    /// Emit the sealed pairs above every tail value.
+    fn finish(mut self) {
+        self.emit_sealed(self.sealed.len());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The sort-everything reference: every pair staged, sorted and
+    /// coalesced in one pass, as `(values, cum)`.
+    fn reference(
+        sealed: &[(&[u64], u64)],
+        tail: &[u64],
+        tail_weight: u64,
+        pending: Option<(u64, u64)>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for &(data, w) in sealed {
+            pairs.extend(data.iter().map(|&v| (v, w)));
+        }
+        pairs.extend(tail.iter().map(|&v| (v, tail_weight)));
+        pairs.extend(pending);
+        pairs.sort_unstable();
+        let (mut values, mut cum) = (Vec::new(), Vec::new());
+        let mut running = 0u64;
+        for (v, w) in pairs {
+            running += w;
+            if values.last() == Some(&v) {
+                *cum.last_mut().unwrap() = running;
+            } else {
+                values.push(v);
+                cum.push(running);
+            }
+        }
+        (values, cum)
+    }
+
+    fn contents(s: &QuerySpine<u64>) -> (Vec<u64>, Vec<u64>) {
+        s.points().map(|(&v, c)| (v, c)).unzip()
+    }
+
+    /// Refresh a fresh spine and check it against the reference.
+    fn check(
+        sealed: &[(&[u64], u64)],
+        tail: &[u64],
+        tail_weight: u64,
+        pending: Option<(u64, u64)>,
+    ) {
+        let mut s = QuerySpine::default();
+        let p = pending.as_ref().map(|(v, w)| (v, *w));
+        s.refresh(1, 1, sealed.iter().copied(), tail, tail_weight, p);
+        assert_eq!(contents(&s), reference(sealed, tail, tail_weight, pending));
+        let buffered: u64 = sealed.iter().map(|(d, w)| d.len() as u64 * w).sum();
+        assert_eq!(s.sealed_mass(), buffered);
+    }
+
     fn built(pairs: &[(u64, u64)]) -> QuerySpine<u64> {
         let mut s = QuerySpine::default();
-        s.rebuild(1, |out| out.extend_from_slice(pairs));
+        let singles: Vec<[u64; 1]> = pairs.iter().map(|&(v, _)| [v]).collect();
+        let sources = singles.iter().zip(pairs).map(|(v, &(_, w))| (&v[..], w));
+        s.refresh(1, 1, sources, &[], 1, None);
         s
     }
 
@@ -201,7 +411,7 @@ mod tests {
         assert!(!s.is_current(2));
         s.invalidate();
         assert!(!s.is_current(1));
-        s.rebuild(2, |out| out.push((7, 7)));
+        s.refresh(2, 2, [(&[7u64][..], 7)], &[], 1, None);
         assert!(s.is_current(2));
         assert_eq!(s.total(), 7);
     }
@@ -213,5 +423,80 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.lookup(1), None);
         assert_eq!(s.rank(&5), (0, 0));
+    }
+
+    #[test]
+    fn tail_only_spines_match_the_reference() {
+        check(&[], &[], 1, None);
+        check(&[], &[4, 1, 3, 1], 2, None);
+        check(&[], &[4, 1, 3, 1], 2, Some((3, 1)));
+        // The pending block alone.
+        check(&[], &[], 4, Some((9, 3)));
+    }
+
+    #[test]
+    fn sealed_only_spines_match_the_reference() {
+        check(&[(&[5, 1, 3], 4), (&[2, 3, 8], 1)], &[], 8, None);
+        check(&[(&[5, 1, 3], 4)], &[], 8, Some((0, 2)));
+        check(&[(&[5, 1, 3], 4)], &[], 8, Some((9, 2)));
+    }
+
+    #[test]
+    fn tail_and_pending_ties_with_sealed_values_coalesce() {
+        let sealed: &[(&[u64], u64)] = &[(&[1, 3, 5, 7], 4), (&[3, 7, 9], 2)];
+        check(sealed, &[3, 7, 7, 0, 10], 1, Some((5, 1)));
+        check(sealed, &[3, 7, 7, 0, 10], 1, Some((7, 1)));
+        check(sealed, &[1, 9], 1, Some((1, 1)));
+        check(sealed, &[9, 9], 1, Some((9, 1)));
+        check(sealed, &[2, 4, 6, 8], 1, Some((10, 1)));
+    }
+
+    #[test]
+    fn all_equal_input_is_one_value() {
+        let sealed: &[(&[u64], u64)] = &[(&[6, 6, 6], 4), (&[6, 6], 2)];
+        check(sealed, &[6, 6, 6, 6], 1, Some((6, 1)));
+        let mut s = QuerySpine::default();
+        s.refresh(1, 1, sealed.iter().copied(), &[6; 4], 1, Some((&6, 1)));
+        assert_eq!(contents(&s), (vec![6], vec![21]));
+    }
+
+    #[test]
+    fn pseudo_random_spines_match_the_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % m
+        };
+        for case in 0..200 {
+            // Small value ranges tie often; large ones rarely.
+            let range = if case % 2 == 0 { 7 } else { 1 << 20 };
+            let buffers: Vec<(Vec<u64>, u64)> = (0..next(5))
+                .map(|_| ((0..next(40)).map(|_| next(range)).collect(), 1 << next(4)))
+                .collect();
+            let sealed: Vec<(&[u64], u64)> = buffers.iter().map(|(d, w)| (&d[..], *w)).collect();
+            // Long enough tails take the radix sort.
+            let tail: Vec<u64> = (0..next(200)).map(|_| next(range)).collect();
+            let pending = (next(2) == 0).then(|| (next(range), 1 + next(8)));
+            check(&sealed, &tail, 1 + next(8), pending);
+        }
+    }
+
+    #[test]
+    fn sealed_part_is_reused_until_the_generation_moves() {
+        let mut s = QuerySpine::default();
+        s.refresh(1, 1, [(&[10u64, 20][..], 2)], &[15], 1, None);
+        assert_eq!(contents(&s), (vec![10, 15, 20], vec![2, 3, 5]));
+        // Same generation: the sources are not read again, only the tail.
+        s.refresh(2, 1, [(&[99u64][..], 99)], &[25, 5], 1, Some((&20, 1)));
+        assert_eq!(contents(&s), (vec![5, 10, 20, 25], vec![1, 3, 6, 7]));
+        // A new generation rebuilds the sealed part from the sources.
+        s.refresh(3, 2, [(&[99u64][..], 99)], &[], 1, None);
+        assert_eq!(contents(&s), (vec![99], vec![99]));
+        // Invalidation drops the sealed part too.
+        s.invalidate();
+        s.refresh(4, 2, [(&[1u64][..], 1)], &[], 1, None);
+        assert_eq!(contents(&s), (vec![1], vec![1]));
     }
 }

@@ -290,23 +290,20 @@ impl<T: Ord + Clone + 'static> Coordinator<T> {
         })
     }
 
-    /// Run `f` against the spine, rebuilding it first if a shipment has
-    /// arrived since it was last materialised.
+    /// Run `f` against the spine, refreshing it first if a shipment has
+    /// arrived since it was last materialised. The engine's spine builder:
+    /// `full` is the sealed part, and `staging` the tail at its weight.
+    /// Every shipment can change `full`, so the shipment epoch doubles as
+    /// the buffer generation.
     fn with_current_spine<U>(&self, f: impl FnOnce(&QuerySpine<T>) -> U) -> U {
         let mut spine = self.spine.borrow_mut();
         if !spine.is_current(self.epoch) {
-            spine.rebuild(self.epoch, |pairs| {
-                for (data, w, _) in &self.full {
-                    for v in data {
-                        pairs.push((v.clone(), *w));
-                    }
-                }
-                if let Some((staged, w)) = &self.staging {
-                    for v in staged {
-                        pairs.push((v.clone(), *w));
-                    }
-                }
-            });
+            let (staged, staged_weight): (&[T], u64) = match &self.staging {
+                Some((staged, w)) => (staged, *w),
+                None => (&[], 0),
+            };
+            let full = self.full.iter().map(|(data, w, _)| (data.as_slice(), *w));
+            spine.refresh(self.epoch, self.epoch, full, staged, staged_weight, None);
         }
         f(&spine)
     }
